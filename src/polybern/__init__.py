@@ -29,15 +29,12 @@ from .bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
     bernoulli_numbers,
-    check_b_equals_higher_order,
     gregory_coefficients,
     higher_order_bernoulli_poly,
 )
 from .polybernoulli import (
     IDENTITIES,
-    PolyBernoulliResult,
     VerificationReport,
-    poly_b2nd_gf,
     poly_b2nd_theorem1,
     poly_b2nd_theorem2,
     poly_b2nd_values,
@@ -73,11 +70,8 @@ __all__ = [
     "bernoulli2nd_poly",
     "gregory_coefficients",
     "higher_order_bernoulli_poly",
-    "check_b_equals_higher_order",
     "IDENTITIES",
-    "PolyBernoulliResult",
     "VerificationReport",
-    "poly_b2nd_gf",
     "poly_b2nd_theorem1",
     "poly_b2nd_theorem2",
     "poly_b2nd_values",

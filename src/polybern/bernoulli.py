@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .combinatorics import binomial, falling_factorial_poly
+from .combinatorics import binomial, to_monomial_basis
 from .polynomial import Polynomial, X
 from .series import TruncatedSeries, constant_series, exp_series, log1p_series, t_series
 
@@ -73,10 +73,7 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("index must be >= 0")
     b = bernoulli2nd_numbers(n)
-    total = Polynomial(())
-    for l in range(n + 1):
-        total = total + binomial(n, l) * b[l] * falling_factorial_poly(n - l)
-    return total
+    return to_monomial_basis([binomial(n, j) * b[n - j] for j in range(n + 1)])
 
 
 def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
@@ -97,9 +94,3 @@ def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
     else:
         x = Fraction(x)
     return (powered * exp_series(x, n)).egf_coefficient(n)
-
-
-def check_b_equals_higher_order(n: int) -> bool:
-    """Whether b_n(x) equals B_n^(n)(x+1), compared coefficient-wise."""
-    shifted = higher_order_bernoulli_poly(n, n, X + 1)
-    return bernoulli2nd_poly(n) == shifted

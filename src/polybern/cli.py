@@ -70,12 +70,12 @@ class SequenceTable:
 
 def _merge_value_flags(argv: list[str]) -> list[str]:
     # argparse cannot tokenize values like "-3..3" after --k/--x; fold them
-    # into --k=-3..3 form before parsing.
+    # into --k=-3..3 form before parsing. A following "--flag" is not a value.
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--k", "--x") and i + 1 < len(argv):
+        if tok in ("--k", "--x") and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -178,7 +178,7 @@ def _table_values(args, parser: argparse.ArgumentParser):
         params["k"] = str(args.k)
         point = x if x is not None else Fraction(0)
         params["x"] = str(point)
-        values = [r.value for r in polybernoulli.poly_b2nd_gf(n_max, args.k, point)]
+        values = polybernoulli.poly_b2nd_values(n_max, args.k, point)
     elif kind in ("stirling1", "stirling2"):
         if args.l is None:
             parser.error(f"--kind {kind} requires --l (triangle column)")

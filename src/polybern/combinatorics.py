@@ -130,9 +130,11 @@ def to_falling_basis(p: Polynomial) -> list[Fraction]:
 
 def to_monomial_basis(d: list[Fraction]) -> Polynomial:
     """Expand sum_l d_l (x)_l back to monomial coefficients."""
-    total = Polynomial(())
-    for l, c in enumerate(d):
-        if c == 0:
-            continue
-        total = total + Fraction(c) * falling_factorial_poly(l)
-    return total
+    size = len(d)
+    out = []
+    for i in range(size):
+        total = Fraction(0)
+        for l in range(i, size):
+            total += d[l] * stirling1(l, i)
+        out.append(total)
+    return Polynomial(tuple(out))

@@ -16,6 +16,11 @@ Expressions denote exact truncated series in t; there is no symbolic x here
 division picks the unit or valuation route by inspecting leading zeros of
 both operands; a denominator whose valuation exceeds the numerator's (or
 which vanishes identically at the working order) is rejected.
+
+Nesting is capped at ``MAX_DEPTH`` levels, both for open parentheses,
+function calls and unary minus signs and for the height of the parsed tree
+(a flat sum of n terms is n-1 levels tall), so parsing and evaluation never
+exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ class Call:
     args: tuple
 
 
+MAX_DEPTH = 100
+
 # -- tokenizer -----------------------------------------------------------
 
 _PUNCT = {"+", "-", "*", "/", "^", "(", ")", ","}
@@ -109,9 +116,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch in _PUNCT:
             tokens.append(_Token(ch, ch, col))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j
@@ -136,6 +143,8 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.nesting = -1  # open levels; the whole expression is not nested
+        self.heights: dict[int, int] = {}  # id(node) -> tree height
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -153,6 +162,23 @@ class _Parser:
             raise ParseError(f"expected {what}, found {found}", tok.column)
         return self.advance()
 
+    @staticmethod
+    def check_depth(depth: int, column: int) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", column)
+
+    def enter(self) -> None:
+        """Open a level at the '(' or unary '-' just consumed."""
+        self.nesting += 1
+        self.check_depth(self.nesting, self.tokens[self.pos - 1].column)
+
+    def build(self, node: object, column: int, *parts: object) -> object:
+        """Record the tree height of a node built over ``parts``."""
+        height = 1 + max((self.heights.get(id(p), 0) for p in parts), default=0)
+        self.check_depth(height, column)
+        self.heights[id(node)] = height
+        return node
+
     def parse(self) -> object:
         node = self.expr()
         tok = self.peek()
@@ -161,11 +187,14 @@ class _Parser:
         return node
 
     def expr(self) -> object:
+        self.enter()
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            node = BinOp("add" if op.kind == "+" else "sub", node, rhs)
+            kind = "add" if op.kind == "+" else "sub"
+            node = self.build(BinOp(kind, node, rhs), op.column, node, rhs)
+        self.nesting -= 1
         return node
 
     def term(self) -> object:
@@ -173,23 +202,28 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            node = BinOp("mul" if op.kind == "*" else "div", node, rhs)
+            kind = "mul" if op.kind == "*" else "div"
+            node = self.build(BinOp(kind, node, rhs), op.column, node, rhs)
         return node
 
     def factor(self) -> object:
         if self.peek().kind == "-":
-            self.advance()
-            return BinOp("mul", Const(Fraction(-1)), self.factor())
+            op = self.advance()
+            self.enter()
+            operand = self.factor()
+            self.nesting -= 1
+            negated = BinOp("mul", Const(Fraction(-1)), operand)
+            return self.build(negated, op.column, operand)
         node = self.atom()
         if self.peek().kind == "^":
-            self.advance()
+            op = self.advance()
             tok = self.peek()
             if tok.kind != "int":
                 raise ParseError(
                     "exponent must be a non-negative integer literal", tok.column
                 )
             self.advance()
-            node = Pow(node, int(tok.text))
+            node = self.build(Pow(node, int(tok.text)), op.column, node)
         return node
 
     def atom(self) -> object:
@@ -237,14 +271,15 @@ class _Parser:
         return -value if negative else value
 
     def func(self) -> Call:
-        name = self.advance().text
+        tok = self.advance()
+        name = tok.text
         self.expect("(", "'('")
         if name == "Li":
             order = self.signed_int_literal("Li order must be an integer literal")
             self.expect(",", "','")
             arg = self.expr()
             self.expect(")", "')'")
-            return Call("Li", (order, arg))
+            return self.build(Call("Li", (order, arg)), tok.column, arg)
         if name == "pow1p":
             negative = False
             if self.peek().kind == "-":
@@ -258,7 +293,7 @@ class _Parser:
             return Call("pow1p", (-value if negative else value,))
         arg = self.expr()
         self.expect(")", "')'")
-        return Call(name, (arg,))
+        return self.build(Call(name, (arg,)), tok.column, arg)
 
 
 def parse_expr(text: str) -> object:

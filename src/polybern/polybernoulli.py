@@ -8,7 +8,7 @@ where Li_k is the polylogarithm series sum_{m>=1} u^m / m^k for any integer
 k (non-positive k just means positive integer weights m^|k|). Three routes
 compute the family:
 
-* ``poly_b2nd_gf`` — the truncated-series route, used as the oracle;
+* ``poly_b2nd_values`` — the truncated-series route, used as the oracle;
 * ``poly_b2nd_theorem1`` — a closed sum over classical Bernoulli numbers,
   valid at k = 2;
 * ``poly_b2nd_theorem2`` — a closed sum with Stirling-number weights, valid
@@ -23,7 +23,7 @@ and returns a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Union
@@ -47,19 +47,19 @@ from .series import (
 Scalar = Union[int, Fraction]
 Value = Union[Fraction, Polynomial]
 
-GF_ROUTE = "gf-oracle"
-THEOREM1_ROUTE = "theorem1"
-THEOREM2_ROUTE = "theorem2"
+
+def _check_k(k: int) -> int:
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an int, not {type(k).__name__}")
+    return k
 
 
-@dataclass(frozen=True)
-class PolyBernoulliResult:
-    """One computed value b_n^(k)(x) together with the route that produced it."""
-
-    n: int
-    k: int
-    value: Value
-    route: str
+def _normalize_point(x: Scalar | Polynomial) -> Value:
+    if isinstance(x, Polynomial):
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"a point must be an int, Fraction or Polynomial, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
@@ -101,31 +101,7 @@ def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Va
     """b_0^(k)(x)..b_{n_max}^(k)(x) via the generating-function route."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if not isinstance(x, Polynomial):
-        x = Fraction(x)
-    return _gf_values(n_max, k, x)
-
-
-def poly_b2nd_gf(
-    n_max: int,
-    k: int,
-    x: Scalar | Polynomial = 0,
-    verify: bool = False,
-) -> list[PolyBernoulliResult]:
-    """Generating-function table of b_n^(k)(x) for n = 0..n_max.
-
-    With ``verify=True`` every entry is recomputed through the closed
-    all-k formula and a mismatch raises — the two routes must agree exactly.
-    """
-    values = poly_b2nd_values(n_max, k, x)
-    if verify:
-        for n, value in enumerate(values):
-            alt = poly_b2nd_theorem2(n, k, x).value
-            if alt != value:
-                raise ArithmeticError(
-                    f"route disagreement at n={n}, k={k}: gf={value}, closed={alt}"
-                )
-    return [PolyBernoulliResult(n, k, v, GF_ROUTE) for n, v in enumerate(values)]
+    return _gf_values(n_max, _check_k(k), _normalize_point(x))
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +109,23 @@ def _b2nd_at(m: int, x: Value) -> Value:
     return bernoulli2nd_poly(m)(x)
 
 
-def _normalize_point(x: Scalar | Polynomial) -> Value:
-    return x if isinstance(x, Polynomial) else Fraction(x)
+@lru_cache(maxsize=None)
+def _li_coeff(n: int, k: int) -> Fraction:
+    """a_n^(k) = sum_{m=1}^{n} (-1)^(n+m) m! S2(n, m) / m^k.
+
+    The egf coefficient of t^n in Li_k(1 - e^(-t)), from
+    (1 - e^(-t))^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!.
+    """
+    total = Fraction(0)
+    for m in range(1, n + 1):
+        term = Fraction(math.factorial(m)) * stirling2(n, m) * Fraction(m) ** (-k)
+        if (n + m) % 2:
+            term = -term
+        total += term
+    return total
 
 
-def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> PolyBernoulliResult:
+def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
     """The k = 2 closed sum: sum_l C(n, l) B_l b_{n-l}(x) / (l+1)."""
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -146,35 +134,21 @@ def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> PolyBernoulliResul
     total: Value = Fraction(0)
     for l in range(n + 1):
         total = total + binomial(n, l) * classical[l] * _b2nd_at(n - l, x) / (l + 1)
-    return PolyBernoulliResult(n, 2, total, THEOREM1_ROUTE)
-
-
-@lru_cache(maxsize=None)
-def _stirling_weight(l: int, k: int) -> Fraction:
-    """sum_{p=1}^{l+1} (-1)^(p+l+1) p! S2(l+1, p) / (p^k (l+1))."""
-    total = Fraction(0)
-    for p in range(1, l + 2):
-        term = (
-            Fraction(math.factorial(p))
-            * stirling2(l + 1, p)
-            * Fraction(p) ** (-k)
-            / (l + 1)
-        )
-        if (p + l + 1) % 2:
-            term = -term
-        total += term
     return total
 
 
-def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> PolyBernoulliResult:
-    """The all-k closed sum with Stirling weights applied to b_{n-l}(x)."""
+def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
+    """The all-k closed sum with Stirling weights a_{l+1}^(k) / (l+1) applied
+    to b_{n-l}(x)."""
     if n < 0:
         raise ValueError("index must be >= 0")
+    _check_k(k)
     x = _normalize_point(x)
     total: Value = Fraction(0)
     for l in range(n + 1):
-        total = total + binomial(n, l) * _stirling_weight(l, k) * _b2nd_at(n - l, x)
-    return PolyBernoulliResult(n, k, total, THEOREM2_ROUTE)
+        weight = _li_coeff(l + 1, k) / (l + 1)
+        total = total + binomial(n, l) * weight * _b2nd_at(n - l, x)
+    return total
 
 
 def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
@@ -185,16 +159,11 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     """
     if n < 1:
         raise ValueError("thm3 requires n >= 1")
+    _check_k(k)
     x = _normalize_point(x)
     total: Value = Fraction(0)
     for p in range(1, n + 1):
-        inner = Fraction(0)
-        for m in range(1, p + 1):
-            term = Fraction(math.factorial(m)) * stirling2(p, m) * Fraction(m) ** (-k)
-            if (m + p) % 2:
-                term = -term
-            inner += term
-        total = total + binomial(n, p) * inner * _b2nd_at(n - p, x)
+        total = total + binomial(n, p) * _li_coeff(p, k) * _b2nd_at(n - p, x)
     return total
 
 
@@ -209,7 +178,7 @@ def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Value:
     """sum_l C(n, l) b_{n-l}^(k)(x) (y)_l — equals b_n^(k)(x+y)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _addition_sum(poly_b2nd_values(n, k, x), n, y)
+    return _addition_sum(poly_b2nd_values(n, k, x), n, _normalize_point(y))
 
 
 # -- identity verification -----------------------------------------------
@@ -247,56 +216,51 @@ Checker = Callable[[int, "tuple[int, ...] | None", "tuple[Value, ...] | None"], 
 
 @dataclass(frozen=True)
 class IdentitySpec:
+    """A built-in identity; ``ks``/``xs`` are its default k range and x points,
+    and ``None`` means the identity takes no such parameter."""
+
     name: str
     summary: str
     checker: Checker
-    takes_k: bool = False
-    takes_x: bool = False
-    default_ks: tuple[int, ...] | None = None
-    default_xs: tuple[Value, ...] | None = None
+    ks: tuple[int, ...] | None = None
+    xs: tuple[Value, ...] | None = None
 
 
-_DEFAULT_POINTS: tuple[Value, ...] = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+_DEFAULT_POINTS: tuple[Value, ...] = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), X)
 
 
 def _point_label(x: Value) -> str:
     return "x" if isinstance(x, Polynomial) and x == X else str(x)
 
 
-def _sorted_points(xs: Iterable[Value]) -> list[Value]:
+def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
+    xs = list(xs)
     numeric = sorted(x for x in xs if not isinstance(x, Polynomial))
     symbolic = [x for x in xs if isinstance(x, Polynomial)]
-    return numeric + symbolic
+    return tuple(numeric + symbolic)
 
 
 def _check_thm1(n_max, ks, xs):
-    points = _sorted_points(xs if xs is not None else _DEFAULT_POINTS + (X,))
     for n in range(n_max + 1):
-        for x in points:
-            lhs = poly_b2nd_theorem1(n, x).value
+        for x in xs:
+            lhs = poly_b2nd_theorem1(n, x)
             rhs = poly_b2nd_values(n_max, 2, x)[n]
             yield {"n": n, "x": _point_label(x)}, lhs, rhs
 
 
 def _check_thm2(n_max, ks, xs):
-    ks = ks if ks is not None else tuple(range(-5, 6))
-    points = _sorted_points(xs if xs is not None else _DEFAULT_POINTS + (X,))
     for n in range(n_max + 1):
-        for k in sorted(ks):
-            for x in points:
-                lhs = poly_b2nd_theorem2(n, k, x).value
+        for k in ks:
+            for x in xs:
+                lhs = poly_b2nd_theorem2(n, k, x)
                 rhs = poly_b2nd_values(n_max, k, x)[n]
                 yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rhs
 
 
 def _check_thm3(n_max, ks, xs):
-    ks = ks if ks is not None else tuple(range(-3, 4))
-    points = _sorted_points(
-        xs if xs is not None else (Fraction(0), Fraction(1, 2), Fraction(-2))
-    )
     for n in range(1, n_max + 1):
-        for k in sorted(ks):
-            for x in points:
+        for k in ks:
+            for x in xs:
                 shifted = x + 1
                 lhs = (
                     poly_b2nd_values(n_max, k, shifted)[n]
@@ -309,9 +273,8 @@ def _check_thm3(n_max, ks, xs):
 def _check_thm4(n_max, ks, xs):
     # Equality on an (n+1) x (n+1) grid of distinct rational points pins the
     # two-variable polynomial identity (degree <= n in each variable).
-    ks = ks if ks is not None else tuple(range(-2, 4))
     for n in range(n_max + 1):
-        for k in sorted(ks):
+        for k in ks:
             for i in range(n + 1):
                 x = Fraction(i, 3)
                 table_x = poly_b2nd_values(n_max, k, x)
@@ -362,31 +325,27 @@ IDENTITIES: dict[str, IdentitySpec] = {
             "thm1",
             "k=2 closed formula (classical Bernoulli weights) vs generating function",
             _check_thm1,
-            takes_x=True,
+            xs=_DEFAULT_POINTS,
         ),
         IdentitySpec(
             "thm2",
             "all-k closed formula (Stirling weights) vs generating function",
             _check_thm2,
-            takes_k=True,
-            takes_x=True,
-            default_ks=tuple(range(-5, 6)),
+            ks=tuple(range(-5, 6)),
+            xs=_DEFAULT_POINTS,
         ),
         IdentitySpec(
             "thm3",
             "forward difference b(x+1)-b(x) vs its double-sum expansion",
             _check_thm3,
-            takes_k=True,
-            takes_x=True,
-            default_ks=tuple(range(-3, 4)),
-            default_xs=(Fraction(0), Fraction(1, 2), Fraction(-2)),
+            ks=tuple(range(-3, 4)),
+            xs=(Fraction(0), Fraction(1, 2), Fraction(-2)),
         ),
         IdentitySpec(
             "thm4",
             "argument-addition formula on a distinct-rational evaluation grid",
             _check_thm4,
-            takes_k=True,
-            default_ks=tuple(range(-2, 4)),
+            ks=tuple(range(-2, 4)),
         ),
         IdentitySpec(
             "eq9",
@@ -412,26 +371,12 @@ IDENTITIES: dict[str, IdentitySpec] = {
 }
 
 
-def _describe_range(
-    spec: IdentitySpec,
-    n_max: int,
-    ks: tuple[int, ...] | None,
-    xs: tuple[Value, ...] | None,
-) -> dict[str, str]:
+def _describe_range(spec: IdentitySpec, n_max: int) -> dict[str, str]:
     desc = {"n_max": str(n_max)}
-    if spec.takes_k or spec.default_ks is not None:
-        used = ks if ks is not None else spec.default_ks
-        if used is not None:
-            desc["k"] = ",".join(str(k) for k in sorted(used))
-    if spec.takes_x:
-        if xs is not None:
-            desc["x"] = ",".join(_point_label(x) for x in _sorted_points(xs))
-        elif spec.default_xs is not None:
-            desc["x"] = ",".join(_point_label(x) for x in _sorted_points(spec.default_xs))
-        else:
-            desc["x"] = ",".join(
-                _point_label(x) for x in _sorted_points(_DEFAULT_POINTS + (X,))
-            )
+    if spec.ks is not None:
+        desc["k"] = ",".join(str(k) for k in spec.ks)
+    if spec.xs is not None:
+        desc["x"] = ",".join(_point_label(x) for x in spec.xs)
     if spec.name == "thm4":
         desc["grid"] = "(n+1)x(n+1) distinct rationals per n"
     return desc
@@ -454,14 +399,17 @@ def verify_identity(
         raise ValueError(f"unknown identity name {name!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ks_t = tuple(ks) if ks is not None else None
-    xs_t = tuple(_normalize_point(x) for x in xs) if xs is not None else None
-    if ks_t is not None and not spec.takes_k:
+    if ks is not None and spec.ks is None:
         raise ValueError(f"identity {name!r} does not take a k range")
-    if xs_t is not None and not spec.takes_x:
+    if xs is not None and spec.xs is None:
         raise ValueError(f"identity {name!r} does not take x points")
-    report = VerificationReport(name, _describe_range(spec, n_max, ks_t, xs_t))
-    for params, lhs, rhs in spec.checker(n_max, ks_t, xs_t):
+    if spec.ks is not None:
+        ks = tuple(sorted(_check_k(k) for k in (spec.ks if ks is None else ks)))
+    if spec.xs is not None:
+        xs = _sorted_points(_normalize_point(x) for x in (spec.xs if xs is None else xs))
+    spec = replace(spec, ks=ks, xs=xs)
+    report = VerificationReport(name, _describe_range(spec, n_max))
+    for params, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):
         ok = lhs == rhs
         report.checked.append({"params": params, "ok": ok})
         if not ok:

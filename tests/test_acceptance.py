@@ -86,7 +86,7 @@ def test_criterion_02_theorem1_equals_gf():
         assert report.passed and report.total == 26 * 4
         symbolic = polybernoulli.poly_b2nd_values(15, 2, X)
         for n in range(16):
-            assert polybernoulli.poly_b2nd_theorem1(n, X).value == symbolic[n]
+            assert polybernoulli.poly_b2nd_theorem1(n, X) == symbolic[n]
 
 
 def test_criterion_03_theorem2_equals_gf():
@@ -99,8 +99,8 @@ def test_criterion_03_theorem2_equals_gf():
         for n in range(26):
             for x in points:
                 assert (
-                    polybernoulli.poly_b2nd_theorem1(n, x).value
-                    == polybernoulli.poly_b2nd_theorem2(n, 2, x).value
+                    polybernoulli.poly_b2nd_theorem1(n, x)
+                    == polybernoulli.poly_b2nd_theorem2(n, 2, x)
                 )
 
 
@@ -127,8 +127,8 @@ def test_criterion_06_k1_reduction():
 
 def test_criterion_07_higher_order_bridge():
     with criterion(7, 10.0, "b_n(x) == B_n^(n)(x+1) as exact polynomials (n<=20)"):
-        for n in range(21):
-            assert bernoulli.check_b_equals_higher_order(n)
+        report = polybernoulli.verify_identity("b-equals-higher-order", 20)
+        assert report.passed and report.total == 21
 
 
 def test_criterion_08_stirling_structure():

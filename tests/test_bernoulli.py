@@ -8,10 +8,10 @@ from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
     bernoulli_numbers,
-    check_b_equals_higher_order,
     gregory_coefficients,
     higher_order_bernoulli_poly,
 )
+from polybern.polybernoulli import verify_identity
 from polybern.polynomial import Polynomial, X
 from polybern.series import log1p_series, pow1p_series, t_series
 
@@ -119,7 +119,6 @@ def test_higher_order_rejects_negative_order():
 
 
 def test_b_equals_higher_order_bridge():
-    assert check_b_equals_higher_order(0)
-    assert check_b_equals_higher_order(2)
     assert higher_order_bernoulli_poly(2, 2, X + 1) == X * X - F(1, 6)
-    assert check_b_equals_higher_order(10)
+    report = verify_identity("b-equals-higher-order", 10)
+    assert report.passed and report.total == 11

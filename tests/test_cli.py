@@ -115,7 +115,7 @@ def test_table_round_trips_against_library(capsys):
         ),
         (
             ("table", "--kind", "poly2nd", "-k", "3", "-n", "6", "--x", "1/2"),
-            [r.value for r in polybernoulli.poly_b2nd_gf(6, 3, F(1, 2))],
+            list(polybernoulli.poly_b2nd_values(6, 3, F(1, 2))),
         ),
         (
             ("table", "--kind", "stirling2", "-n", "6", "--l", "3"),
@@ -244,6 +244,19 @@ def test_verify_usage_errors(capsys):
         assert err, args
 
 
+def test_verify_flag_without_value_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--identity", "thm2", "--n-max", "2", "--k", "--x", "1"
+    )
+    assert code == 2
+    assert "argument --k: expected one argument" in err
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "thm1", "--n-max", "2", "--x", "-1/2"
+    )
+    assert code == 0
+    assert "range: n_max=2; x=-1/2" in out
+
+
 def test_verify_negative_k_range_tokenizes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "thm3", "--n-max", "3", "--k", "-1..1",
@@ -282,6 +295,24 @@ def test_eval_parse_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "eval", "--expr", "Li(t, t)", "--order", "2")
     assert code == 1
     assert "column 4" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 3000 + "t" + ")" * 3000,
+        "-" * 3000 + "t",
+        "exp(" * 400 + "t" + ")" * 400,
+        "+".join(["t"] * 3000),
+    ],
+    ids=["parentheses", "unary-minus", "nested-exp", "flat-sum"],
+)
+def test_eval_too_deep_exits_one(capsys, expr):
+    code, out, err = run_cli(capsys, "eval", f"--expr={expr}", "--order", "4")
+    assert code == 1 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: column ")
+    assert "nested deeper than" in lines[0]
 
 
 def test_eval_usage_errors(capsys):

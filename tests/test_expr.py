@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polybern.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -148,6 +149,34 @@ def test_parser_never_crashes(text):
         parse_expr(text)
     except ParseError as exc:
         assert exc.column >= 1
+
+
+@pytest.mark.parametrize("text, column", [("²", 1), ("t^²", 3)])
+def test_parser_rejects_non_ascii_digits(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert exc.value.column == column
+
+
+def test_parser_depth_limit_boundary():
+    # MAX_DEPTH open parentheses (or calls, or unary minus signs) parse; one
+    # more is an error at the opening that crosses the limit.
+    assert parse_expr("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH) == Var()
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_expr("(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1))
+    assert exc.value.column == MAX_DEPTH + 1
+    assert ev("-" * MAX_DEPTH + "t", 2) == t_series(2)
+    assert ev("log1p(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, 1) == t_series(1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expr("exp(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1))
+
+
+def test_parser_tree_height_limit():
+    # A flat sum of n terms is a tree n-1 operators tall.
+    assert ev("+".join(["t"] * (MAX_DEPTH + 1)), 1).coeffs == (F(0), F(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_expr("+".join(["t"] * (MAX_DEPTH + 2)))
+    assert exc.value.column == 2 * (MAX_DEPTH + 1)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -6,8 +6,6 @@ from oracles import naive_polylog, one_minus_exp_neg_coeffs
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
-    PolyBernoulliResult,
-    poly_b2nd_gf,
     poly_b2nd_theorem1,
     poly_b2nd_theorem2,
     poly_b2nd_values,
@@ -82,40 +80,49 @@ def test_gf_constant_term_is_one_for_every_k():
         assert poly_b2nd_values(4, k)[0] == 1
 
 
-def test_gf_results_carry_route_metadata():
-    results = poly_b2nd_gf(3, 2, F(1, 2))
-    assert [r.n for r in results] == [0, 1, 2, 3]
-    assert all(isinstance(r, PolyBernoulliResult) for r in results)
-    assert all(r.route == "gf-oracle" and r.k == 2 for r in results)
-
-
-def test_gf_verify_mode_enforces_route_agreement():
-    results = poly_b2nd_gf(8, -2, F(1, 2), verify=True)
-    assert len(results) == 9
+def test_floats_are_rejected_and_do_not_poison_the_cache():
+    with pytest.raises(TypeError):
+        poly_b2nd_values(3, 2.0)
+    assert poly_b2nd_values(3, 2)[2] == F(-13, 36)
+    with pytest.raises(TypeError):
+        poly_b2nd_values(2, 1, 0.1)
+    calls = [
+        lambda: poly_b2nd_theorem1(2, 0.5),
+        lambda: poly_b2nd_theorem2(2, 2.0),
+        lambda: poly_b2nd_theorem2(2, 2, 0.5),
+        lambda: theorem3_rhs(2, 2.0),
+        lambda: theorem3_rhs(2, 2, 0.5),
+        lambda: theorem4_rhs(2, 2.0, 0, 0),
+        lambda: theorem4_rhs(2, 2, 0, 0.5),
+        lambda: verify_identity("thm2", 2, ks=[2.0]),
+        lambda: verify_identity("thm1", 2, xs=[0.5]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 # -- closed formulas ---------------------------------------------------------
 
 
 def test_theorem1_examples():
-    assert poly_b2nd_theorem1(0).value == 1
-    assert poly_b2nd_theorem1(1).value == F(1, 4)
-    assert poly_b2nd_theorem1(2).value == F(-13, 36)
-    assert poly_b2nd_theorem1(2).route == "theorem1"
+    assert poly_b2nd_theorem1(0) == 1
+    assert poly_b2nd_theorem1(1) == F(1, 4)
+    assert poly_b2nd_theorem1(2) == F(-13, 36)
 
 
 def test_theorem1_matches_gf():
     for x in (F(0), F(1), F(-1), F(1, 2)):
         table = poly_b2nd_values(12, 2, x)
         for n in range(13):
-            assert poly_b2nd_theorem1(n, x).value == table[n]
+            assert poly_b2nd_theorem1(n, x) == table[n]
 
 
 def test_theorem2_examples():
     for k in (-2, 0, 1, 3):
-        assert poly_b2nd_theorem2(0, k).value == 1
-    assert poly_b2nd_theorem2(1, 2).value == F(1, 4)
-    assert poly_b2nd_theorem2(2, 2).value == F(-13, 36)
+        assert poly_b2nd_theorem2(0, k) == 1
+    assert poly_b2nd_theorem2(1, 2) == F(1, 4)
+    assert poly_b2nd_theorem2(2, 2) == F(-13, 36)
 
 
 def test_theorem2_matches_gf_and_theorem1():
@@ -123,10 +130,10 @@ def test_theorem2_matches_gf_and_theorem1():
         for x in (F(0), F(-1), F(1, 2)):
             table = poly_b2nd_values(10, k, x)
             for n in range(11):
-                assert poly_b2nd_theorem2(n, k, x).value == table[n]
+                assert poly_b2nd_theorem2(n, k, x) == table[n]
     for n in range(13):
         for x in (F(0), F(2, 3)):
-            assert poly_b2nd_theorem1(n, x).value == poly_b2nd_theorem2(n, 2, x).value
+            assert poly_b2nd_theorem1(n, x) == poly_b2nd_theorem2(n, 2, x)
 
 
 def test_theorem2_symbolic_route_agreement():
@@ -134,7 +141,7 @@ def test_theorem2_symbolic_route_agreement():
     for k in range(-5, 6):
         table = poly_b2nd_values(15, k, X)
         for n in range(16):
-            assert poly_b2nd_theorem2(n, k, X).value == table[n]
+            assert poly_b2nd_theorem2(n, k, X) == table[n]
 
 
 # -- forward difference and addition ----------------------------------------
