@@ -33,7 +33,7 @@ from .bernoulli import (
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
-from .combinatorics import binomial, falling_factorial_at, stirling1, stirling2
+from .combinatorics import binomial, stirling1, stirling2
 from .polynomial import Polynomial, X
 from .series import (
     TruncatedSeries,
@@ -79,34 +79,23 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _one_minus_exp_neg(order: int) -> TruncatedSeries:
-    return constant_series(Fraction(1), order) - exp_series(Fraction(-1), order)
-
-
-@lru_cache(maxsize=None)
-def _gf_values(n_max: int, k: int, x: Value) -> tuple[Value, ...]:
+def _gf_values(n_max: int, k: int) -> TruncatedSeries:
+    """Li_k(1 - e^(-t)) / log(1+t) at order n_max: the x-free part of the gf."""
     order = n_max + 1
-    li = polylog_series(k, _one_minus_exp_neg(order))
-    quotient = li.div_valuation(log1p_series(order), 1)  # order n_max
-    if isinstance(x, Polynomial):
-        series = quotient.to_polynomial_ring() * pow1p_series(x, n_max)
-    elif x != 0:
-        series = quotient * pow1p_series(x, n_max)
-    else:
-        series = quotient
-    return tuple(series.egf_coefficient(n) for n in range(n_max + 1))
+    inner = constant_series(Fraction(1), order) - exp_series(Fraction(-1), order)
+    return polylog_series(k, inner).div_valuation(log1p_series(order), 1)
 
 
 def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Value, ...]:
     """b_0^(k)(x)..b_{n_max}^(k)(x) via the generating-function route."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _gf_values(n_max, _check_k(k), _normalize_point(x))
-
-
-@lru_cache(maxsize=None)
-def _b2nd_at(m: int, x: Value) -> Value:
-    return bernoulli2nd_poly(m)(x)
+    quotient = _gf_values(n_max, _check_k(k))
+    x = _normalize_point(x)
+    if isinstance(x, Polynomial):
+        quotient = quotient.to_polynomial_ring()
+    series = quotient * pow1p_series(x, n_max)
+    return tuple(series.egf_coefficient(n) for n in range(n_max + 1))
 
 
 @lru_cache(maxsize=None)
@@ -125,16 +114,28 @@ def _li_coeff(n: int, k: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _convolution(weights: tuple[Fraction, ...]) -> Polynomial:
+    """sum_l C(n, l) w_l b_{n-l}(X), n = len(weights) - 1: the closed sum of
+    Theorems 1-3, which differ only in their weights w_l."""
+    n = len(weights) - 1
+    out = [Fraction(0)] * (n + 1)
+    for l, w in enumerate(weights):
+        if w == 0:
+            continue
+        scale = binomial(n, l) * w
+        for j, c in enumerate(bernoulli2nd_poly(n - l).coeffs):
+            out[j] += scale * c
+    return Polynomial(tuple(out))
+
+
 def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
     """The k = 2 closed sum: sum_l C(n, l) B_l b_{n-l}(x) / (l+1)."""
     if n < 0:
         raise ValueError("index must be >= 0")
     x = _normalize_point(x)
-    classical = bernoulli_numbers(n)
-    total: Value = Fraction(0)
-    for l in range(n + 1):
-        total = total + binomial(n, l) * classical[l] * _b2nd_at(n - l, x) / (l + 1)
-    return total
+    weights = tuple(b / (l + 1) for l, b in enumerate(bernoulli_numbers(n)))
+    return _convolution(weights)(x)
 
 
 def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
@@ -144,11 +145,8 @@ def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
         raise ValueError("index must be >= 0")
     _check_k(k)
     x = _normalize_point(x)
-    total: Value = Fraction(0)
-    for l in range(n + 1):
-        weight = _li_coeff(l + 1, k) / (l + 1)
-        total = total + binomial(n, l) * weight * _b2nd_at(n - l, x)
-    return total
+    weights = tuple(_li_coeff(l + 1, k) / (l + 1) for l in range(n + 1))
+    return _convolution(weights)(x)
 
 
 def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
@@ -161,16 +159,16 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
         raise ValueError("thm3 requires n >= 1")
     _check_k(k)
     x = _normalize_point(x)
-    total: Value = Fraction(0)
-    for p in range(1, n + 1):
-        total = total + binomial(n, p) * _li_coeff(p, k) * _b2nd_at(n - p, x)
-    return total
+    # a_0^(k) = 0, so the sum over p = 1..n is the convolution from p = 0.
+    return _convolution(tuple(_li_coeff(p, k) for p in range(n + 1)))(x)
 
 
 def _addition_sum(table_x: tuple[Value, ...], n: int, y: Scalar) -> Value:
     total: Value = Fraction(0)
+    falling = Fraction(1)  # (y)_l
     for l in range(n + 1):
-        total = total + binomial(n, l) * table_x[n - l] * falling_factorial_at(y, l)
+        total = total + binomial(n, l) * table_x[n - l] * falling
+        falling = falling * (y - l)
     return total
 
 
@@ -241,31 +239,28 @@ def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
 
 
 def _check_thm1(n_max, ks, xs):
+    rows = {x: poly_b2nd_values(n_max, 2, x) for x in xs}
     for n in range(n_max + 1):
         for x in xs:
-            lhs = poly_b2nd_theorem1(n, x)
-            rhs = poly_b2nd_values(n_max, 2, x)[n]
-            yield {"n": n, "x": _point_label(x)}, lhs, rhs
+            yield {"n": n, "x": _point_label(x)}, poly_b2nd_theorem1(n, x), rows[x][n]
 
 
 def _check_thm2(n_max, ks, xs):
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in xs}
     for n in range(n_max + 1):
         for k in ks:
             for x in xs:
                 lhs = poly_b2nd_theorem2(n, k, x)
-                rhs = poly_b2nd_values(n_max, k, x)[n]
-                yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rhs
+                yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rows[k, x][n]
 
 
 def _check_thm3(n_max, ks, xs):
+    points = set(xs) | {x + 1 for x in xs}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
     for n in range(1, n_max + 1):
         for k in ks:
             for x in xs:
-                shifted = x + 1
-                lhs = (
-                    poly_b2nd_values(n_max, k, shifted)[n]
-                    - poly_b2nd_values(n_max, k, x)[n]
-                )
+                lhs = rows[k, x + 1][n] - rows[k, x][n]
                 rhs = theorem3_rhs(n, k, x)
                 yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rhs
 
@@ -273,23 +268,24 @@ def _check_thm3(n_max, ks, xs):
 def _check_thm4(n_max, ks, xs):
     # Equality on an (n+1) x (n+1) grid of distinct rational points pins the
     # two-variable polynomial identity (degree <= n in each variable).
+    # x = i/3 and x + y = i/3 + j/5; j = 0 gives the x points themselves.
+    points = {Fraction(i, 3) + Fraction(j, 5) for i in range(n_max + 1) for j in range(n_max + 1)}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
     for n in range(n_max + 1):
         for k in ks:
             for i in range(n + 1):
                 x = Fraction(i, 3)
-                table_x = poly_b2nd_values(n_max, k, x)
                 for j in range(n + 1):
                     y = Fraction(j, 5)
-                    lhs = poly_b2nd_values(n_max, k, x + y)[n]
-                    rhs = _addition_sum(table_x, n, y)
+                    lhs = rows[k, x + y][n]
+                    rhs = _addition_sum(rows[k, x], n, y)
                     yield {"n": n, "k": k, "x": str(x), "y": str(y)}, lhs, rhs
 
 
 def _check_eq9(n_max, ks, xs):
+    row = poly_b2nd_values(n_max, 1, X)
     for n in range(n_max + 1):
-        lhs = poly_b2nd_values(n_max, 1, X)[n]
-        rhs = bernoulli2nd_poly(n)
-        yield {"n": n, "x": "x"}, lhs, rhs
+        yield {"n": n, "x": "x"}, row[n], bernoulli2nd_poly(n)
 
 
 def _check_eq2(n_max, ks, xs):

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
+from polybern import polybernoulli
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
@@ -188,6 +191,66 @@ def test_theorem4_matches_gf_addition():
                 for j in range(n + 1):
                     x, y = F(i, 3), F(j, 5)
                     assert theorem4_rhs(n, k, x, y) == poly_b2nd_values(n, k, x + y)[n]
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(st.integers(0, 8), st.integers(-3, 3), small_rationals, small_rationals)
+def test_theorem4_at_random_points(n, k, x, y):
+    assert theorem4_rhs(n, k, x, y) == poly_b2nd_values(n, k, x + y)[n]
+
+
+@given(st.integers(0, 8), st.integers(-3, 3), small_rationals)
+def test_theorem2_at_random_points(n, k, x):
+    assert poly_b2nd_theorem2(n, k, x) == poly_b2nd_values(n, k, x)[n]
+
+
+@given(st.integers(1, 8), st.integers(-3, 3), small_rationals)
+def test_theorem3_at_random_points(n, k, x):
+    diff = poly_b2nd_values(n, k, x + 1)[n] - poly_b2nd_values(n, k, x)[n]
+    assert theorem3_rhs(n, k, x) == diff
+
+
+# -- caches ------------------------------------------------------------------
+
+
+def cache_sizes():
+    return {
+        name: fn.cache_info().currsize
+        for name, fn in vars(polybernoulli).items()
+        if hasattr(fn, "cache_info")
+    }
+
+
+def test_caches_do_not_grow_with_the_number_of_points():
+    def evaluate_at(points):
+        for x in points:
+            poly_b2nd_values(6, 2, x)
+            poly_b2nd_theorem1(6, x)
+            poly_b2nd_theorem2(6, -1, x)
+            theorem3_rhs(6, 3, x)
+
+    evaluate_at(F(i, 7) for i in range(1, 11))
+    sizes = cache_sizes()
+    assert "_gf_values" in sizes
+    evaluate_at(F(2 * i + 1, 11) for i in range(200))
+    assert cache_sizes() == sizes
+
+
+@pytest.mark.parametrize("name", ["thm2", "thm3", "thm4"])
+def test_verify_composes_the_polylog_once_per_k(monkeypatch, name):
+    composed = []
+    original = polybernoulli.polylog_series
+
+    def counted(k, inner):
+        composed.append(k)
+        return original(k, inner)
+
+    monkeypatch.setattr(polybernoulli, "polylog_series", counted)
+    polybernoulli._gf_values.cache_clear()
+    assert verify_identity(name, 6).passed
+    assert sorted(composed) == list(IDENTITIES[name].ks)
 
 
 # -- verify_identity ---------------------------------------------------------

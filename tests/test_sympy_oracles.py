@@ -1,0 +1,45 @@
+"""Cross-checks against SymPy, an implementation outside this package.
+
+Skipped when SymPy is not installed.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from polybern.bernoulli import bernoulli2nd_numbers, bernoulli_numbers
+from polybern.combinatorics import stirling1, stirling2
+
+sympy = pytest.importorskip("sympy")
+stirling = sympy.functions.combinatorial.numbers.stirling
+
+
+def as_fraction(value):
+    value = sympy.Rational(value)
+    return F(int(value.p), int(value.q))
+
+
+def test_bernoulli_numbers_match_sympy():
+    ours = bernoulli_numbers(200)
+    # Recent SymPy returns B_1 = +1/2; this package reads t/(e^t - 1), so B_1 = -1/2.
+    assert ours[1] == F(-1, 2)
+    for n in range(201):
+        if n != 1:
+            assert ours[n] == as_fraction(sympy.bernoulli(n)), n
+
+
+@pytest.mark.parametrize("n", range(0, 201, 20))
+def test_stirling_rows_match_sympy(n):
+    for m in range(n + 1):
+        assert stirling1(n, m) == as_fraction(stirling(n, m, kind=1, signed=True)), (n, m)
+        assert stirling2(n, m) == as_fraction(stirling(n, m, kind=2)), (n, m)
+
+
+def test_bernoulli2nd_numbers_are_integrals_of_falling_factorials():
+    # b_n = int_0^1 (x)_n dx = sum_m s(n, m) / (m + 1), s signed first kind.
+    ours = bernoulli2nd_numbers(100)
+    for n in range(101):
+        expected = sum(
+            as_fraction(stirling(n, m, kind=1, signed=True)) / (m + 1) for m in range(n + 1)
+        )
+        assert ours[n] == expected, n
