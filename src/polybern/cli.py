@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,22 @@ from .combinatorics import stirling1, stirling2
 from .expr import ParseError, eval_expr, parse_expr
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int/str digit limit while exact results are turned into
+    text; input literals are parsed outside it and stay bounded."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -192,7 +209,8 @@ def _table_values(args, parser: argparse.ArgumentParser):
             bernoulli.higher_order_bernoulli_poly(n, n, point) for n in range(n_max + 1)
         ]
 
-    return SequenceTable(kind, params, [(n, str(v)) for n, v in enumerate(values)])
+    with _unlimited_int_digits():
+        return SequenceTable(kind, params, [(n, str(v)) for n, v in enumerate(values)])
 
 
 def cmd_table(args, parser: argparse.ArgumentParser) -> int:
@@ -246,11 +264,12 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
                 raise ValueError("--x needs at least one rational")
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        report = polybernoulli.verify_identity(args.identity, args.n_max, ks, xs)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(_report_text(report) if args.format == "text" else _report_json(report))
+    with _unlimited_int_digits():  # the report holds the values as strings
+        try:
+            report = polybernoulli.verify_identity(args.identity, args.n_max, ks, xs)
+        except ValueError as exc:
+            parser.error(str(exc))
+        print(_report_text(report) if args.format == "text" else _report_json(report))
     return 0 if report.passed else 1
 
 
@@ -262,9 +281,10 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for n, c in enumerate(series.coeffs):
-        value = math.factorial(n) * c if args.egf else c
-        print(f"{n}: {value}")
+    with _unlimited_int_digits():
+        for n, c in enumerate(series.coeffs):
+            value = math.factorial(n) * c if args.egf else c
+            print(f"{n}: {value}")
     return 0
 
 

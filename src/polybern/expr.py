@@ -32,8 +32,6 @@ from .polybernoulli import polylog_series
 from .series import (
     TruncatedSeries,
     constant_series,
-    exp_series,
-    log1p_series,
     pow1p_series,
     t_series,
 )
@@ -318,8 +316,7 @@ def _eval_at(node: object, order: int) -> TruncatedSeries:
         if node.name == "Li":
             return polylog_series(node.args[0], _eval_at(node.args[1], order))
         inner = _eval_at(node.args[0], order)
-        outer = exp_series(Fraction(1), inner.order) if node.name == "exp" else log1p_series(inner.order)
-        return outer.compose(inner)
+        return inner.exp() if node.name == "exp" else inner.log1p()
     assert isinstance(node, BinOp)
     left = _eval_at(node.left, order)
     right = _eval_at(node.right, order)
@@ -355,13 +352,16 @@ def eval_expr(node: object, order: int) -> TruncatedSeries:
 
     Valuation-shifting divisions lose top coefficients, and a denominator's
     leading zeros may fill the whole working window at small orders; both
-    cases re-evaluate the tree at a padded working order. A denominator whose
+    cases re-evaluate the tree at a padded working order. The first pass runs
+    at order min(order, 8): once the valuations are visible, the coefficients
+    a division loses do not depend on the order, so that cheap pass finds
+    the padding and the full order is evaluated once. A denominator whose
     valuation exceeds max(2*order, order+8) is reported as not a power
     series, exactly like a zero denominator.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    work = order
+    work = min(order, 8)
     escalated = False
     for _ in range(5):
         try:

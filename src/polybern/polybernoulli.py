@@ -36,6 +36,7 @@ from .bernoulli import (
 from .combinatorics import binomial, stirling1, stirling2
 from .polynomial import Polynomial, X
 from .series import (
+    RATIONAL,
     TruncatedSeries,
     constant_series,
     exp_series,
@@ -63,19 +64,41 @@ def _normalize_point(x: Scalar | Polynomial) -> Value:
 
 
 def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
-    """Li_k applied to a series with zero constant term.
+    """Li_k(f) = sum_{m>=1} f^m / m^k for a series f with zero constant term.
 
-    Returns sum_{m=1}^{N} inner^m / m^k truncated at N = inner.order; terms
-    with m > N cannot contribute because inner has positive valuation.
+    Terms with m > N = f.order cannot contribute, because f has positive
+    valuation v. For |k| < N over the rationals the polylog is solved from
+    its differential equation in theta = t d/dt, with D = theta(f) / f:
+
+        Li_0(f) = f / (1 - f),
+        theta Li_{j+1}(f) = Li_j(f) * D,    Li_{j-1}(f) = theta Li_j(f) / D,
+
+    |k| + 2 series products or quotients in all (Brent and Kung, J. ACM
+    1978). D = theta(f) / f is known only to order N - v, but Li_j(f) has
+    valuation v and D is a unit, so neither step reads D beyond that and
+    zeros pad it back to order N. For |k| >= N, Horner's rule on the N
+    terms costs fewer products and is used instead, as it is for
+    polynomial coefficients.
     """
     n = inner.order
-    weights: list[object] = [Fraction(0)]
-    for m in range(1, n + 1):
-        weights.append(Fraction(m) ** (-k))
-    outer = TruncatedSeries.from_coeffs(weights, n)
-    if inner.ring != outer.ring:
-        outer = outer.to_polynomial_ring()
-    return outer.compose(inner)
+    if abs(k) >= n or inner.ring != RATIONAL:
+        weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
+        outer = TruncatedSeries.from_coeffs(weights, n)
+        if inner.ring != outer.ring:
+            outer = outer.to_polynomial_ring()
+        return outer.compose(inner)
+    inner._require_zero_constant()
+    v = inner.valuation()
+    if v is None:
+        return inner
+    d = inner.theta().div_valuation(inner, v)
+    d = TruncatedSeries(d.coeffs + (Fraction(0),) * v)
+    li = inner.div_unit(constant_series(Fraction(1), n) - inner)
+    for _ in range(k):
+        li = (li * d).theta_inverse()
+    for _ in range(-k):
+        li = li.theta().div_unit(d)
+    return li
 
 
 @lru_cache(maxsize=None)

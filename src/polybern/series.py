@@ -140,16 +140,44 @@ class TruncatedSeries:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
+        """self^a by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        With self = t^v u and u_0 invertible, g = u^a solves
+        u * theta(g) = a * theta(u) * g, that is
+        n u_0 g_n = sum_{i=1}^{n} ((a+1) i - n) u_i g_{n-i}, g_0 = u_0^a:
+        one series product in all. The result is g shifted by v*a.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer")
+        n = self.order
+        if exponent == 0:
+            return constant_series(self._embed(1), n)
+        v = self.valuation()
+        if v is None or v * exponent > n:
+            return constant_series(self._zero(), n)
+        u = self.coeffs[v:]
+        if isinstance(u[0], Polynomial) and u[0].degree > 0:
+            return self._pow_by_squaring(exponent)
+        a1 = exponent + 1
+        g = [u[0] ** exponent]
+        for j in range(1, n - v * exponent + 1):
+            acc = self._zero()
+            for i in range(1, j + 1):
+                if u[i] != 0:
+                    acc = acc + (a1 * i - j) * u[i] * g[j - i]
+            g.append(acc / (j * u[0]))
+        return TruncatedSeries((self._zero(),) * (v * exponent) + tuple(g))
+
+    def _pow_by_squaring(self, exponent: int) -> "TruncatedSeries":
+        """Binary exponentiation, for a leading coefficient that is a
+        polynomial of positive degree and so has no inverse."""
         result = constant_series(self._embed(1), self.order)
         base = self
-        n = exponent
-        while n:
-            if n & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            n >>= 1
+            exponent >>= 1
         return result
 
     def _unit_inverse_factor(self) -> Coeff:
@@ -224,17 +252,58 @@ class TruncatedSeries:
         """Coefficients of self(inner(t)), truncated at the common order.
 
         ``inner`` must have zero constant term; evaluation is Horner's rule
-        over truncated series.
+        over truncated series, N series products in all. The production paths
+        solve differential equations instead (``exp``, ``log1p``,
+        ``polylog_series``); this stays as their independent oracle.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._check_compatible(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires inner series with zero constant term")
+        inner._require_zero_constant()
         acc = constant_series(self.coeffs[-1], self.order)
         for j in range(self.order - 1, -1, -1):
             acc = acc * inner + constant_series(self.coeffs[j], self.order)
         return acc
+
+    def _require_zero_constant(self) -> None:
+        if self.coeffs[0] != 0:
+            raise ValueError("composition requires inner series with zero constant term")
+
+    # -- differential equations -----------------------------------------
+    # theta = t d/dt keeps the order, so an ODE in theta form is solved
+    # without losing a coefficient.
+
+    def theta(self) -> "TruncatedSeries":
+        """t * d/dt: c_n -> n c_n."""
+        return TruncatedSeries(tuple(n * c for n, c in enumerate(self.coeffs)))
+
+    def theta_inverse(self) -> "TruncatedSeries":
+        """The inverse of theta on series with zero constant term: c_n -> c_n / n."""
+        if self.coeffs[0] != 0:
+            raise ValueError("theta_inverse needs a zero constant term")
+        return TruncatedSeries(
+            (self.coeffs[0],) + tuple(c / n for n, c in enumerate(self.coeffs[1:], 1))
+        )
+
+    def exp(self) -> "TruncatedSeries":
+        """exp(self) for zero constant term, from theta(g) = theta(self) * g
+        with g_0 = 1: n g_n = sum_{i=1}^{n} i c_i g_{n-i}."""
+        self._require_zero_constant()
+        d = self.theta().coeffs
+        g = [self._embed(1)]
+        for n in range(1, self.order + 1):
+            acc = self._zero()
+            for i in range(1, n + 1):
+                if d[i] != 0:
+                    acc = acc + d[i] * g[n - i]
+            g.append(acc / n)
+        return TruncatedSeries(tuple(g))
+
+    def log1p(self) -> "TruncatedSeries":
+        """log(1 + self) for zero constant term: theta^-1(theta(self) / (1 + self))."""
+        self._require_zero_constant()
+        one = constant_series(self._embed(1), self.order)
+        return self.theta().div_unit(one + self).theta_inverse()
 
     # -- coefficient access ---------------------------------------------
 

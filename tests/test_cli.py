@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -313,6 +314,21 @@ def test_eval_too_deep_exits_one(capsys, expr):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: column ")
     assert "nested deeper than" in lines[0]
+
+
+def test_eval_prints_values_past_the_int_str_digit_limit(capsys):
+    # Li_{-15000}(t) has t^2 coefficient 2^15000, 4,516 digits. Decimal
+    # spells it out without the int/str limit, which the CLI restores.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run_cli(capsys, "eval", "--expr", "Li(-15000, t)", "--order", "2")
+    assert limit() == before
+    assert code == 0 and not err
+    lines = out.splitlines()
+    assert lines[:2] == ["0: 0", "1: 1"] and len(lines) == 3
+    expected = format(decimal.Context(prec=5000).power(2, 15000), "f")
+    assert len(expected) == 4516
+    assert lines[2] == f"2: {expected}"
 
 
 def test_eval_usage_errors(capsys):

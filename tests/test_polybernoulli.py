@@ -56,6 +56,48 @@ def test_polylog_rejects_nonzero_constant_term():
         polylog_series(2, constant_series(F(1), 3))
 
 
+def test_polylog_routes_only_large_k_through_horner(monkeypatch):
+    composed = []
+    original = TruncatedSeries.compose
+
+    def counted(self, inner):
+        composed.append(inner.order)
+        return original(self, inner)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    assert polylog_series(200, t_series(40)).coeffs[40] == F(40) ** -200
+    assert composed == [40]
+    composed.clear()
+    polylog_series(3, one_minus_exp_neg(40))
+    assert composed == []
+    # |k| >= order takes Horner's rule, |k| < order the differential equation.
+    for k in (-40, -39, 39, 40):
+        composed.clear()
+        polylog_series(k, t_series(40))
+        assert composed == ([40] if abs(k) >= 40 else [])
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def inner_series(draw):
+    """A rational series of order <= 30 with valuation 1..3."""
+    v = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=v, max_value=30))
+    lead = draw(small_rationals.filter(lambda c: c != 0))
+    rest = draw(st.lists(small_rationals, min_size=order - v, max_size=order - v))
+    return TruncatedSeries((F(0),) * v + (lead,) + tuple(rest))
+
+
+@given(inner_series(), st.integers(min_value=-5, max_value=5))
+def test_polylog_ode_matches_horner_composition(inner, k):
+    n = inner.order
+    weights = [F(0)] + [F(m) ** -k for m in range(1, n + 1)]
+    horner = TruncatedSeries.from_coeffs(weights, n).compose(inner)
+    assert polylog_series(k, inner) == horner
+
+
 # -- generating-function route ----------------------------------------------
 
 

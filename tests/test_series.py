@@ -141,6 +141,52 @@ def test_compose_rejects_nonzero_constant_term():
         log1p_series(3).compose(one(3))
 
 
+def test_theta_and_its_inverse():
+    s = series(0, 3, F(-1, 2), F(2, 3))
+    assert s.theta() == series(0, 3, -1, 2)
+    assert s.theta().theta_inverse() == s
+    assert one(3).theta() == constant_series(F(0), 3)
+    with pytest.raises(ValueError, match="zero constant term"):
+        one(3).theta_inverse()
+
+
+def test_exp_and_log1p_of_a_series_examples():
+    assert t_series(4).exp() == exp_series(F(1), 4)
+    assert t_series(4).log1p() == log1p_series(4)
+    # log(1 + (e^t - 1)) = t and exp(log(1 + t)) = 1 + t.
+    assert (exp_series(F(1), 6) - one(6)).log1p() == t_series(6)
+    assert log1p_series(6).exp() == one(6) + t_series(6)
+    assert constant_series(F(0), 0).exp() == one(0)
+
+
+def test_exp_and_log1p_reject_nonzero_constant_term():
+    for method in (TruncatedSeries.exp, TruncatedSeries.log1p):
+        with pytest.raises(ValueError, match="^composition requires inner series with zero constant term$"):
+            method(series(2, 1, 0))
+
+
+def test_pow_examples():
+    s = series(0, 0, 2, 1, 0, 0, 0)
+    assert s ** 0 == one(6)
+    assert s ** 1 == s
+    assert s ** 2 == series(0, 0, 0, 0, 4, 4, 1)
+    assert s ** 4 == constant_series(F(0), 6)
+    assert constant_series(F(0), 3) ** 0 == one(3)
+    assert constant_series(F(0), 3) ** 5 == constant_series(F(0), 3)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        s ** -1
+
+
+def test_pow_over_the_polynomial_ring():
+    # Invertible constant lead: Miller's recurrence; lead x: binary powering.
+    assert pow1p_series(X, 5) ** 3 == pow1p_series(3 * X, 5)
+    s = TruncatedSeries((X, Polynomial.constant(1), Polynomial(())))
+    cube = s ** 3
+    assert cube.ring == "polynomial"
+    assert cube == s * s * s
+    assert list(cube.coeffs) == [X ** 3, 3 * X ** 2, 3 * X]
+
+
 def test_exp_series_examples():
     assert exp_series(F(0), 2) == series(1, 0, 0)
     assert exp_series(F(-1), 3) == series(1, -1, F(1, 2), F(-1, 6))
@@ -278,3 +324,34 @@ def test_outputs_stay_canonical(a, b):
             assert isinstance(c, F)
             assert c.denominator > 0
             assert math.gcd(c.numerator, c.denominator) == 1
+
+
+nonzero_fractions = small_fractions.filter(lambda c: c != 0)
+
+
+def valued_series(min_valuation, max_valuation, max_order):
+    """Series of order <= max_order whose valuation is drawn from the range."""
+    return st.integers(min_valuation, max_valuation).flatmap(
+        lambda v: st.integers(v, max_order).flatmap(
+            lambda n: st.tuples(
+                nonzero_fractions,
+                st.lists(small_fractions, min_size=n - v, max_size=n - v),
+            ).map(lambda lr: TruncatedSeries((F(0),) * v + (lr[0],) + tuple(lr[1])))
+        )
+    )
+
+
+@given(valued_series(1, 3, 14))
+def test_exp_and_log1p_match_horner_composition(f):
+    n = f.order
+    assert f.exp() == exp_series(F(1), n).compose(f)
+    assert f.log1p() == log1p_series(n).compose(f)
+
+
+@given(valued_series(0, 3, 14), st.integers(min_value=0, max_value=8))
+def test_miller_power_matches_repeated_multiplication(f, a):
+    n = f.order
+    expected = [F(1)] + [F(0)] * n
+    for _ in range(a):
+        expected = naive_mul(expected, list(f.coeffs), n)
+    assert list((f ** a).coeffs) == expected
