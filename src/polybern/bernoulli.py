@@ -17,11 +17,11 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 from .combinatorics import binomial, to_monomial_basis
 from .polynomial import Polynomial, X
-from .series import TruncatedSeries, constant_series, exp_series, log1p_series, t_series
+from .series import TruncatedSeries, constant_series, log1p_series, t_series
 
 Scalar = Union[int, Fraction]
 
@@ -76,21 +76,33 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
     return to_monomial_basis([binomial(n, j) * b[n - j] for j in range(n + 1)])
 
 
+def _appell(p: Sequence[Fraction], n: int) -> Polynomial:
+    """sum_j C(n, j) p_{n-j} x^j: the egf coefficient n of P(t) e^(x t),
+    where p_0..p_n are the egf coefficients of P."""
+    return Polynomial(tuple(binomial(n, j) * p[n - j] for j in range(n + 1)))
+
+
+def bernoulli_values(n_max: int, x: Scalar) -> list[Fraction]:
+    """B_0(x)..B_{n_max}(x), B_n(x) = sum_j C(n, j) B_{n-j} x^j, from one
+    ``bernoulli_numbers`` call."""
+    b = bernoulli_numbers(n_max)
+    return [_appell(b, n)(Fraction(x)) for n in range(n_max + 1)]
+
+
 def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
     """B_n^(alpha)(x): egf coefficient n of (t/(e^t - 1))^alpha * e^(x t).
 
-    ``x`` may be rational (returning a ``Fraction``) or a polynomial
-    (returning a ``Polynomial``); the power is computed by binary
-    exponentiation over truncated series. Only non-negative integer orders
-    are supported.
+    The power is a rational series (Miller's recurrence, see
+    ``TruncatedSeries.__pow__``); with p its egf coefficients, B_n^(alpha)(x)
+    is the polynomial sum_j C(n, j) p_{n-j} x^j, substituted at ``x``. A
+    rational ``x`` returns a ``Fraction``, a polynomial one a ``Polynomial``.
+    Only non-negative integer orders are supported.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if not isinstance(alpha, int) or alpha < 0:
         raise ValueError("negative order unsupported")
     powered = _t_over_expm1(n) ** alpha
-    if isinstance(x, Polynomial):
-        powered = powered.to_polynomial_ring()
-    else:
+    if not isinstance(x, Polynomial):
         x = Fraction(x)
-    return (powered * exp_series(x, n)).egf_coefficient(n)
+    return _appell([powered.egf_coefficient(m) for m in range(n + 1)], n)(x)

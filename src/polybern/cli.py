@@ -176,9 +176,7 @@ def _table_values(args, parser: argparse.ArgumentParser):
             values = bernoulli.bernoulli_numbers(n_max)
         else:
             params["x"] = str(x)
-            values = [
-                bernoulli.higher_order_bernoulli_poly(n, 1, x) for n in range(n_max + 1)
-            ]
+            values = bernoulli.bernoulli_values(n_max, x)
     elif kind == "bernoulli2nd":
         convention = args.convention or "egf"
         params["convention"] = convention

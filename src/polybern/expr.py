@@ -20,7 +20,11 @@ which vanishes identically at the working order) is rejected.
 Nesting is capped at ``MAX_DEPTH`` levels, both for open parentheses,
 function calls and unary minus signs and for the height of the parsed tree
 (a flat sum of n terms is n-1 levels tall), so parsing and evaluation never
-exhaust the interpreter stack.
+exhaust the interpreter stack. An integer literal has at most
+``MAX_LITERAL_DIGITS`` digits and a power's exponent is at most
+``MAX_EXPONENT``, so one literal raised to one power stays small enough to
+compute and print quickly. Each cap is a ``ParseError`` at the offending
+token, before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ class Call:
 
 
 MAX_DEPTH = 100
+MAX_LITERAL_DIGITS = 100
+MAX_EXPONENT = 1000
 
 # -- tokenizer -----------------------------------------------------------
 
@@ -118,6 +124,10 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", col
+                )
             tokens.append(_Token("int", text[i:j], col))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -221,7 +231,10 @@ class _Parser:
                     "exponent must be a non-negative integer literal", tok.column
                 )
             self.advance()
-            node = self.build(Pow(node, int(tok.text)), op.column, node)
+            exponent = int(tok.text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", tok.column)
+            node = self.build(Pow(node, exponent), op.column, node)
         return node
 
     def atom(self) -> object:

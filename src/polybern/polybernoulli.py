@@ -33,10 +33,9 @@ from .bernoulli import (
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
-from .combinatorics import binomial, stirling1, stirling2
-from .polynomial import Polynomial, X
+from .combinatorics import binomial, stirling1, stirling2, to_monomial_basis
+from .polynomial import Polynomial, X, interpolate
 from .series import (
-    RATIONAL,
     TruncatedSeries,
     constant_series,
     exp_series,
@@ -67,8 +66,8 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     """Li_k(f) = sum_{m>=1} f^m / m^k for a series f with zero constant term.
 
     Terms with m > N = f.order cannot contribute, because f has positive
-    valuation v. For |k| < N over the rationals the polylog is solved from
-    its differential equation in theta = t d/dt, with D = theta(f) / f:
+    valuation v. For |k| < N the polylog is solved from its differential
+    equation in theta = t d/dt, with D = theta(f) / f:
 
         Li_0(f) = f / (1 - f),
         theta Li_{j+1}(f) = Li_j(f) * D,    Li_{j-1}(f) = theta Li_j(f) / D,
@@ -77,17 +76,13 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     1978). D = theta(f) / f is known only to order N - v, but Li_j(f) has
     valuation v and D is a unit, so neither step reads D beyond that and
     zeros pad it back to order N. For |k| >= N, Horner's rule on the N
-    terms costs fewer products and is used instead, as it is for
-    polynomial coefficients.
+    terms costs fewer products and is used instead.
     """
     n = inner.order
-    if abs(k) >= n or inner.ring != RATIONAL:
+    if abs(k) >= n:
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
-        outer = TruncatedSeries.from_coeffs(weights, n)
-        if inner.ring != outer.ring:
-            outer = outer.to_polynomial_ring()
-        return outer.compose(inner)
-    inner._require_zero_constant()
+        return TruncatedSeries.from_coeffs(weights, n).compose(inner)
+    inner._require_no_constant_term()
     v = inner.valuation()
     if v is None:
         return inner
@@ -110,15 +105,25 @@ def _gf_values(n_max: int, k: int) -> TruncatedSeries:
 
 
 def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Value, ...]:
-    """b_0^(k)(x)..b_{n_max}^(k)(x) via the generating-function route."""
+    """b_0^(k)(x)..b_{n_max}^(k)(x) via the generating-function route.
+
+    With q_m the egf coefficients of the x-free quotient, the gf gives
+    b_n^(k)(x) = sum_j C(n, j) q_{n-j} (x)_j. A rational x takes one series
+    product; a symbolic x takes that sum to the monomial basis, and any
+    point other than X itself is then substituted into it.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     quotient = _gf_values(n_max, _check_k(k))
     x = _normalize_point(x)
-    if isinstance(x, Polynomial):
-        quotient = quotient.to_polynomial_ring()
-    series = quotient * pow1p_series(x, n_max)
-    return tuple(series.egf_coefficient(n) for n in range(n_max + 1))
+    if not isinstance(x, Polynomial):
+        series = quotient * pow1p_series(x, n_max)
+        return tuple(series.egf_coefficient(n) for n in range(n_max + 1))
+    q = [quotient.egf_coefficient(m) for m in range(n_max + 1)]
+    return tuple(
+        to_monomial_basis([binomial(n, j) * q[n - j] for j in range(n + 1)])(x)
+        for n in range(n_max + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -305,20 +310,38 @@ def _check_thm4(n_max, ks, xs):
                     yield {"n": n, "k": k, "x": str(x), "y": str(y)}, lhs, rhs
 
 
+def _interpolated_gf(row0: Iterable[Fraction]) -> Iterator[Polynomial]:
+    """The polynomials b_n(x), n = 0..N, of a gf G(t) (1+t)^x from the egf
+    coefficients b_n(0) of G, without a symbolic x.
+
+    The gf at x + 1 is the gf at x times (1+t), so b_n(x+1) = b_n(x) +
+    n b_{n-1}(x) gives the rows at x = 0..N; b_n(x) has degree n and is
+    interpolated through the n + 1 points x = 0..n.
+    """
+    rows = [tuple(row0)]
+    for _ in range(len(rows[0]) - 1):
+        prev = rows[-1]
+        rows.append(prev[:1] + tuple(prev[n] + n * prev[n - 1] for n in range(1, len(prev))))
+    for n in range(len(rows)):
+        yield interpolate(range(n + 1), [row[n] for row in rows[: n + 1]])
+
+
 def _check_eq9(n_max, ks, xs):
-    row = poly_b2nd_values(n_max, 1, X)
-    for n in range(n_max + 1):
-        yield {"n": n, "x": "x"}, row[n], bernoulli2nd_poly(n)
+    # The gf side never leaves the rationals, so it shares no basis change
+    # with bernoulli2nd_poly.
+    polys = _interpolated_gf(poly_b2nd_values(n_max, 1, 0))
+    for n, p in enumerate(polys):
+        yield {"n": n, "x": "x"}, p, bernoulli2nd_poly(n)
 
 
 def _check_eq2(n_max, ks, xs):
-    # Independent route: build t/log(1+t) * (1+t)^x directly over the
-    # polynomial coefficient ring, without going through the polylog.
+    # Independent route: t/log(1+t) * (1+t)^x built directly, without going
+    # through the polylog.
     order = n_max + 1
     quotient = t_series(order).div_valuation(log1p_series(order), 1)
-    series = quotient.to_polynomial_ring() * pow1p_series(X, n_max)
-    for n in range(n_max + 1):
-        yield {"n": n, "x": "x"}, bernoulli2nd_poly(n), series.egf_coefficient(n)
+    polys = _interpolated_gf(quotient.egf_coefficient(n) for n in range(n_max + 1))
+    for n, p in enumerate(polys):
+        yield {"n": n, "x": "x"}, bernoulli2nd_poly(n), p
 
 
 def _check_b_equals_higher_order(n_max, ks, xs):

@@ -1,15 +1,15 @@
 """Univariate polynomials over exact rationals.
 
-Deliberately minimal: just enough ring structure (addition, multiplication,
-scalar division, exact evaluation) for polynomials to serve as the
-coefficient ring of a truncated series. There is no polynomial division.
+Deliberately minimal: addition, multiplication, scalar division, exact
+evaluation and substitution, and Newton interpolation through rational
+points. There is no polynomial division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -134,8 +134,11 @@ class Polynomial:
         """Evaluate exactly by Horner's rule.
 
         ``point`` may itself be a polynomial, in which case the result is the
-        substituted polynomial (e.g. ``p(X + 1)`` shifts the argument).
+        substituted polynomial (e.g. ``p(X + 1)`` shifts the argument);
+        ``p(X)`` is ``p`` itself.
         """
+        if point == X:
+            return self
         result: Polynomial | Fraction = Fraction(0)
         for c in reversed(self.coeffs):
             result = result * point + c
@@ -174,6 +177,33 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def interpolate(points: Iterable[Scalar], values: Iterable[Scalar]) -> Polynomial:
+    """The polynomial of degree < len(points) through (points[i], values[i]).
+
+    Newton's divided differences c_i = f[x_0..x_i], then Horner's rule on the
+    Newton form c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), one linear
+    factor at a time: O(n^2) operations for n points.
+    """
+    xs = list(points)
+    cs = [Fraction(v) for v in values]
+    if len(xs) != len(cs):
+        raise ValueError("interpolation needs one value per point")
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must be distinct")
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    out: list[Fraction] = []
+    for x_i, c_i in zip(reversed(xs), reversed(cs)):
+        # out <- out * (x - x_i) + c_i
+        out = [Fraction(0)] + out
+        for d in range(len(out) - 1):
+            out[d] -= x_i * out[d + 1]
+        out[0] += c_i
+    return Polynomial(tuple(out))
 
 
 ZERO = Polynomial(())

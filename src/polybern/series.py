@@ -1,12 +1,12 @@
 """Exact truncated formal power series.
 
-A series of order N stores the coefficients c_0..c_N of
-``sum_j c_j t^j + O(t^(N+1))`` over one of two coefficient rings:
-``Fraction`` (ring tag ``"rational"``) or :class:`~polybern.polynomial.Polynomial`
-(ring tag ``"polynomial"``). Everything is exact; no operation ever reads or
-produces a coefficient beyond index N, and binary operations demand that both
-operands share the same order and ring — mismatches raise instead of silently
-re-truncating.
+A series of order N stores the rational coefficients c_0..c_N of
+``sum_j c_j t^j + O(t^(N+1))`` as ``Fraction`` values. Everything is exact; no
+operation ever reads or produces a coefficient beyond index N, and binary
+operations demand that both operands share the same order — a mismatch
+raises instead of silently re-truncating. A symbolic x never enters a series:
+it is a change of basis on the rational coefficients (see
+``polybernoulli.poly_b2nd_values``).
 
 Coefficients can be read in two conventions: ``coeffs[n]`` is the raw t^n
 coefficient, while :meth:`TruncatedSeries.egf_coefficient` returns n!*c_n,
@@ -16,42 +16,21 @@ the value attached to t^n/n! in an exponential generating function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-from .polynomial import Polynomial
-
-Coeff = Union[Fraction, Polynomial]
-
-RATIONAL = "rational"
-POLYNOMIAL = "polynomial"
-
-
-def _normalize(coeffs: Iterable[object]) -> tuple[tuple[Coeff, ...], str]:
-    values = list(coeffs)
-    if not values:
-        raise ValueError("a truncated series needs at least the constant coefficient")
-    if any(isinstance(c, Polynomial) for c in values):
-        lifted = tuple(
-            c if isinstance(c, Polynomial) else Polynomial.constant(Fraction(c))
-            for c in values
-        )
-        return lifted, POLYNOMIAL
-    return tuple(Fraction(c) for c in values), RATIONAL
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Immutable fixed-order power series over an exact coefficient ring."""
+    """Immutable fixed-order power series with ``Fraction`` coefficients."""
 
-    coeffs: tuple[Coeff, ...]
-    ring: str = field(init=False)
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs, ring = _normalize(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "ring", ring)
+        if not self.coeffs:
+            raise ValueError("a truncated series needs at least the constant coefficient")
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[object], order: int) -> "TruncatedSeries":
@@ -63,31 +42,11 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    # -- ring plumbing -------------------------------------------------
-
-    def _zero(self) -> Coeff:
-        return Polynomial(()) if self.ring == POLYNOMIAL else Fraction(0)
-
-    def _embed(self, value: object) -> Coeff:
-        if self.ring == POLYNOMIAL and not isinstance(value, Polynomial):
-            return Polynomial.constant(Fraction(value))
-        return value  # type: ignore[return-value]
-
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(
                 f"series order mismatch: {self.order} vs {other.order}"
             )
-        if self.ring != other.ring:
-            raise ValueError(
-                f"series coefficient ring mismatch: {self.ring} vs {other.ring}"
-            )
-
-    def to_polynomial_ring(self) -> "TruncatedSeries":
-        """The same series with every coefficient lifted to a ``Polynomial``."""
-        if self.ring == POLYNOMIAL:
-            return self
-        return TruncatedSeries(tuple(Polynomial.constant(c) for c in self.coeffs))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
@@ -123,7 +82,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         n = self.order
-        out = [self._zero() for _ in range(n + 1)]
+        out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -151,50 +110,20 @@ class TruncatedSeries:
             raise ValueError("series exponent must be a non-negative integer")
         n = self.order
         if exponent == 0:
-            return constant_series(self._embed(1), n)
+            return constant_series(Fraction(1), n)
         v = self.valuation()
         if v is None or v * exponent > n:
-            return constant_series(self._zero(), n)
+            return constant_series(Fraction(0), n)
         u = self.coeffs[v:]
-        if isinstance(u[0], Polynomial) and u[0].degree > 0:
-            return self._pow_by_squaring(exponent)
         a1 = exponent + 1
         g = [u[0] ** exponent]
         for j in range(1, n - v * exponent + 1):
-            acc = self._zero()
+            acc = Fraction(0)
             for i in range(1, j + 1):
                 if u[i] != 0:
                     acc = acc + (a1 * i - j) * u[i] * g[j - i]
             g.append(acc / (j * u[0]))
-        return TruncatedSeries((self._zero(),) * (v * exponent) + tuple(g))
-
-    def _pow_by_squaring(self, exponent: int) -> "TruncatedSeries":
-        """Binary exponentiation, for a leading coefficient that is a
-        polynomial of positive degree and so has no inverse."""
-        result = constant_series(self._embed(1), self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def _unit_inverse_factor(self) -> Coeff:
-        """Multiplicative inverse of the constant term, for forward substitution."""
-        c0 = self.coeffs[0]
-        if self.ring == RATIONAL:
-            if c0 == 0:
-                raise ValueError("denominator not a unit; use div_valuation")
-            return Fraction(1) / c0
-        assert isinstance(c0, Polynomial)
-        if c0.is_zero:
-            raise ValueError("denominator not a unit; use div_valuation")
-        if c0.degree > 0:
-            raise ValueError(
-                "denominator constant term is not invertible in the polynomial ring"
-            )
-        return Polynomial.constant(Fraction(1) / c0.constant_term)
+        return TruncatedSeries((Fraction(0),) * (v * exponent) + tuple(g))
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient by a series with invertible constant term.
@@ -204,9 +133,11 @@ class TruncatedSeries:
         if not isinstance(den, TruncatedSeries):
             raise TypeError("denominator must be a TruncatedSeries")
         self._check_compatible(den)
-        inv = den._unit_inverse_factor()
+        if den.coeffs[0] == 0:
+            raise ValueError("denominator not a unit; use div_valuation")
+        inv = 1 / den.coeffs[0]
         n = self.order
-        q: list[Coeff] = []
+        q: list[Fraction] = []
         for j in range(n + 1):
             acc = self.coeffs[j]
             for i in range(j):
@@ -259,13 +190,13 @@ class TruncatedSeries:
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._check_compatible(inner)
-        inner._require_zero_constant()
+        inner._require_no_constant_term()
         acc = constant_series(self.coeffs[-1], self.order)
         for j in range(self.order - 1, -1, -1):
             acc = acc * inner + constant_series(self.coeffs[j], self.order)
         return acc
 
-    def _require_zero_constant(self) -> None:
+    def _require_no_constant_term(self) -> None:
         if self.coeffs[0] != 0:
             raise ValueError("composition requires inner series with zero constant term")
 
@@ -288,11 +219,11 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp(self) for zero constant term, from theta(g) = theta(self) * g
         with g_0 = 1: n g_n = sum_{i=1}^{n} i c_i g_{n-i}."""
-        self._require_zero_constant()
+        self._require_no_constant_term()
         d = self.theta().coeffs
-        g = [self._embed(1)]
+        g = [Fraction(1)]
         for n in range(1, self.order + 1):
-            acc = self._zero()
+            acc = Fraction(0)
             for i in range(1, n + 1):
                 if d[i] != 0:
                     acc = acc + d[i] * g[n - i]
@@ -301,13 +232,13 @@ class TruncatedSeries:
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + self) for zero constant term: theta^-1(theta(self) / (1 + self))."""
-        self._require_zero_constant()
-        one = constant_series(self._embed(1), self.order)
+        self._require_no_constant_term()
+        one = constant_series(Fraction(1), self.order)
         return self.theta().div_unit(one + self).theta_inverse()
 
     # -- coefficient access ---------------------------------------------
 
-    def egf_coefficient(self, n: int) -> Coeff:
+    def egf_coefficient(self, n: int) -> Fraction:
         """n! * c_n, the coefficient attached to t^n/n!."""
         if n < 0 or n > self.order:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
@@ -342,16 +273,11 @@ def t_series(order: int) -> TruncatedSeries:
 
 
 def exp_series(a: object, order: int) -> TruncatedSeries:
-    """e^(a*t): coefficients a^j / j!.
-
-    ``a`` may be a rational or a :class:`Polynomial` (giving e.g. e^(x*t)
-    over the polynomial coefficient ring).
-    """
+    """e^(a*t) for a rational a: coefficients a^j / j!."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    if not isinstance(a, Polynomial):
-        a = Fraction(a)
-    coeffs: list[object] = [Polynomial((Fraction(1),)) if isinstance(a, Polynomial) else Fraction(1)]
+    a = Fraction(a)
+    coeffs = [Fraction(1)]
     for j in range(1, order + 1):
         coeffs.append(coeffs[-1] * a / j)
     return TruncatedSeries(tuple(coeffs))
@@ -368,16 +294,12 @@ def log1p_series(order: int) -> TruncatedSeries:
 
 
 def pow1p_series(x: object, order: int) -> TruncatedSeries:
-    """(1+t)^x: coefficients (x)_j / j! with (x)_j the falling factorial.
-
-    A rational ``x`` yields a rational-ring series; a :class:`Polynomial`
-    ``x`` (typically the indeterminate) yields a polynomial-ring series.
-    """
+    """(1+t)^x for a rational x: coefficients (x)_j / j! with (x)_j the
+    falling factorial. At an integer x >= 0 they vanish past index x."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    if not isinstance(x, Polynomial):
-        x = Fraction(x)
-    coeffs: list[object] = [Polynomial((Fraction(1),)) if isinstance(x, Polynomial) else Fraction(1)]
+    x = Fraction(x)
+    coeffs = [Fraction(1)]
     for j in range(1, order + 1):
         # (x)_j / j! = (x)_{j-1}/(j-1)! * (x - (j-1)) / j
         coeffs.append(coeffs[-1] * (x - (j - 1)) / j)

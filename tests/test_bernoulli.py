@@ -8,11 +8,12 @@ from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
     bernoulli_numbers,
+    bernoulli_values,
     gregory_coefficients,
     higher_order_bernoulli_poly,
 )
 from polybern.polybernoulli import verify_identity
-from polybern.polynomial import Polynomial, X
+from polybern.polynomial import Polynomial, X, interpolate
 from polybern.series import log1p_series, pow1p_series, t_series
 
 
@@ -81,12 +82,13 @@ def test_second_kind_polynomials():
 
 def test_second_kind_polynomials_match_generating_function():
     # Cross-check the basis expansion against egf coefficients of
-    # t/log(1+t) * (1+t)^x over the polynomial coefficient ring.
+    # t/log(1+t) * (1+t)^x at x = 0..n, interpolated to a polynomial.
     n_max = 25
     quotient = t_series(n_max + 1).div_valuation(log1p_series(n_max + 1), 1)
-    series = quotient.to_polynomial_ring() * pow1p_series(X, n_max)
+    rows = [pow1p_series(F(i), n_max) * quotient for i in range(n_max + 1)]
     for n in range(n_max + 1):
-        assert bernoulli2nd_poly(n) == series.egf_coefficient(n)
+        values = [row.egf_coefficient(n) for row in rows[: n + 1]]
+        assert bernoulli2nd_poly(n) == interpolate(range(n + 1), values)
 
 
 def test_second_kind_polynomials_at_zero():
@@ -111,6 +113,15 @@ def test_higher_order_squared_series_oracle():
     c2 = Polynomial.constant(squared[2]) + squared[1] * X + squared[0] * X * X / 2
     assert 2 * c2 == X * X - 2 * X + F(5, 6)
     assert higher_order_bernoulli_poly(2, 2) == X * X - 2 * X + F(5, 6)
+
+
+def test_bernoulli_values_match_the_order_one_power():
+    # B_n(x) from the numbers by the binomial sum, against the egf of
+    # t/(e^t - 1) * e^(x t) read through higher_order_bernoulli_poly.
+    for x in (F(0), F(1, 3), F(-7, 2)):
+        values = bernoulli_values(20, x)
+        assert values == [higher_order_bernoulli_poly(n, 1, x) for n in range(21)]
+    assert bernoulli_values(12, 0) == bernoulli_numbers(12)
 
 
 def test_higher_order_rejects_negative_order():

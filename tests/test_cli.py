@@ -316,6 +316,20 @@ def test_eval_too_deep_exits_one(capsys, expr):
     assert "nested deeper than" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("2^3000000", "error: column 3: exponent larger than 1000"),
+        ("1 + " + "7" * 101, "error: column 5: integer literal longer than 100 digits"),
+    ],
+    ids=["exponent", "literal"],
+)
+def test_eval_over_a_cap_exits_one(capsys, expr, message):
+    code, out, err = run_cli(capsys, "eval", "--expr", expr, "--order", "0")
+    assert code == 1 and not out
+    assert err.strip().splitlines() == [message]
+
+
 def test_eval_prints_values_past_the_int_str_digit_limit(capsys):
     # Li_{-15000}(t) has t^2 coefficient 2^15000, 4,516 digits. Decimal
     # spells it out without the int/str limit, which the CLI restores.

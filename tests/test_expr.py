@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from polybern.expr import (
     MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     BinOp,
     Call,
     Const,
@@ -149,6 +151,30 @@ def test_parser_never_crashes(text):
         parse_expr(text)
     except ParseError as exc:
         assert exc.column >= 1
+
+
+def test_exponent_cap():
+    assert parse_expr(f"t^{MAX_EXPONENT}") == Pow(Var(), MAX_EXPONENT)
+    with pytest.raises(ParseError, match=f"exponent larger than {MAX_EXPONENT}") as exc:
+        parse_expr(f"2^{MAX_EXPONENT + 1}")
+    assert exc.value.column == 3
+    with pytest.raises(ParseError, match="exponent larger") as exc:
+        parse_expr("(1+t)^3000000")
+    assert exc.value.column == 7
+
+
+def test_literal_digit_cap():
+    digits = "9" * MAX_LITERAL_DIGITS
+    assert parse_expr(digits) == Const(F(int(digits)))
+    for text, column in [
+        ("t + " + digits + "9", 5),
+        ("1/" + digits + "9", 3),
+        ("Li(" + digits + "9, t)", 4),
+        ("t^" + digits + "9", 3),
+    ]:
+        with pytest.raises(ParseError, match=f"longer than {MAX_LITERAL_DIGITS} digits") as exc:
+            parse_expr(text)
+        assert exc.value.column == column, text
 
 
 @pytest.mark.parametrize("text, column", [("²", 1), ("t^²", 3)])

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
-from polybern import polybernoulli
+from polybern import bernoulli, combinatorics, polybernoulli
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
@@ -252,6 +252,37 @@ def test_theorem2_at_random_points(n, k, x):
 def test_theorem3_at_random_points(n, k, x):
     diff = poly_b2nd_values(n, k, x + 1)[n] - poly_b2nd_values(n, k, x)[n]
     assert theorem3_rhs(n, k, x) == diff
+
+
+@given(st.integers(0, 10), st.integers(-3, 3), small_rationals)
+def test_symbolic_row_evaluates_to_the_rational_row(n, k, r):
+    # The symbolic row is a basis change of the quotient's coefficients; at a
+    # rational point it must agree with the series product there.
+    symbolic = poly_b2nd_values(n, k, X)
+    assert tuple(p(r) for p in symbolic) == poly_b2nd_values(n, k, r)
+
+
+def test_thm3_at_the_symbolic_point():
+    # x + 1 = X + 1 reaches the symbolic row through Polynomial substitution.
+    report = verify_identity("thm3", 6, xs=[X, 0])
+    assert report.passed and report.total == 6 * 7 * 2
+
+
+@pytest.mark.parametrize("name", ["eq9", "eq2", "b-equals-higher-order"])
+def test_symbolic_identities_share_no_basis_change(monkeypatch, name):
+    # bernoulli2nd_poly, one side of each identity, comes from its cache; the
+    # other side must reach neither the S1-row basis change nor a Stirling
+    # triangle.
+    for n in range(9):
+        bernoulli2nd_poly(n)
+
+    def forbidden(*args):
+        raise AssertionError("reached a Stirling basis change")
+
+    for module in (combinatorics, polybernoulli, bernoulli):
+        for name_ in ("to_monomial_basis", "stirling1", "stirling2"):
+            monkeypatch.setattr(module, name_, forbidden, raising=False)
+    assert verify_identity(name, 8).passed
 
 
 # -- caches ------------------------------------------------------------------

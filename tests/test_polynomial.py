@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polybern.polynomial import ONE, ZERO, Polynomial, X
+from polybern.polynomial import ONE, ZERO, Polynomial, X, interpolate
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -32,7 +34,7 @@ def test_substitution_shifts_argument():
     # (x+1)^2 - 2(x+1) + 5/6 collapses to x^2 - 1/6
     p = X * X - 2 * X + F(5, 6)
     assert p(X + 1) == X * X - F(1, 6)
-    assert p(X) == p
+    assert p(X) is p
 
 
 def test_division_restrictions():
@@ -70,3 +72,25 @@ def test_coefficient_access():
     assert p.coefficient(2) == -6
     assert p.coefficient(7) == 0
     assert p.constant_term == 0
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@given(st.lists(rationals, max_size=13), st.data())
+def test_interpolate_round_trips(coeffs, data):
+    # A polynomial of degree <= 12 through distinct random rationals, at
+    # least degree + 1 of them, comes back unchanged.
+    p = Polynomial(tuple(coeffs))
+    xs = data.draw(st.lists(rationals, min_size=max(len(p.coeffs), 1), max_size=13, unique=True))
+    assert interpolate(xs, [p(x) for x in xs]) == p
+
+
+def test_interpolate_examples_and_errors():
+    assert interpolate([], []) == ZERO
+    assert interpolate([F(1, 3)], [F(5)]) == Polynomial.constant(5)
+    assert interpolate(range(3), [0, 1, 4]) == X * X
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate([1, 1], [2, 3])
+    with pytest.raises(ValueError, match="one value per point"):
+        interpolate([1, 2], [3])
