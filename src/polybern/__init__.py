@@ -15,7 +15,6 @@ from .series import (
     t_series,
 )
 from .combinatorics import (
-    StirlingTriangle,
     binomial,
     falling_factorial,
     falling_factorial_at,
@@ -56,7 +55,6 @@ __all__ = [
     "log1p_series",
     "pow1p_series",
     "t_series",
-    "StirlingTriangle",
     "binomial",
     "falling_factorial",
     "falling_factorial_at",

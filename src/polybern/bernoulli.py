@@ -14,57 +14,64 @@ mixes them freely: the familiar small values 1, 1/2, -1/12, 1/24, -19/720,
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .combinatorics import binomial, to_monomial_basis
-from .polynomial import Polynomial, X
-from .series import TruncatedSeries, constant_series, log1p_series, t_series
+from .combinatorics import binomial, extend, to_monomial_basis
+from .polynomial import Polynomial, X, normalize_point
+from .series import TruncatedSeries, pow1p_row
 
 Scalar = Union[int, Fraction]
 
-_lock = threading.Lock()
-_classical: list[Fraction] = []
-_gregory: list[Fraction] = []
+
+def _reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list[Fraction]], Fraction]:
+    """The ``extend`` step of the coefficients q of 1/D(t), D_0 = 1 and
+    D_m = d(m): q_n = -sum_{j<n} q_j D_{n-j}, with D's coefficients cached."""
+    den = [Fraction(1)]
+
+    def step(q: list[Fraction]) -> Fraction:
+        n = len(q)
+        if len(den) == n:  # not yet appended by a step that was interrupted
+            den.append(d(n))
+        return -sum(c * den[n - j] for j, c in enumerate(q))
+
+    return step
 
 
-@lru_cache(maxsize=None)
-def _t_over_expm1(order: int) -> TruncatedSeries:
-    """t/(e^t - 1) as a rational-ring series of the given order."""
-    den = TruncatedSeries.from_coeffs(
-        [Fraction(1, math.factorial(j + 1)) for j in range(order + 1)], order
-    )
-    return constant_series(Fraction(1), order).div_unit(den)
+# Grow-only prefixes of the t^n coefficients of t/(e^t - 1) (B_n / n!) and of
+# t/log(1+t) (G_n), the reciprocals of (e^t - 1)/t and log(1+t)/t.
+_BERNOULLI_RAW = [Fraction(1)]
+_next_bernoulli_raw = _reciprocal_step(lambda m: Fraction(1, math.factorial(m + 1)))
+_GREGORY = [Fraction(1)]
+_next_gregory = _reciprocal_step(lambda m: Fraction((-1) ** m, m + 1))
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_{n_max}, read off the series inverse of (e^t - 1)/t."""
+    """B_0..B_{n_max}: n! times the t^n coefficients of t/(e^t - 1)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    with _lock:
-        if len(_classical) <= n_max:
-            q = _t_over_expm1(n_max)
-            _classical[:] = [q.egf_coefficient(n) for n in range(n_max + 1)]
-        return list(_classical[: n_max + 1])
+    raw = extend(_BERNOULLI_RAW, n_max, _next_bernoulli_raw)
+    return [math.factorial(n) * raw[n] for n in range(n_max + 1)]
 
 
 def gregory_coefficients(n_max: int) -> list[Fraction]:
     """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    with _lock:
-        if len(_gregory) <= n_max:
-            num = t_series(n_max + 1)
-            q = num.div_valuation(log1p_series(n_max + 1), 1)
-            _gregory[:] = list(q.coeffs)
-        return list(_gregory[: n_max + 1])
+    return extend(_GREGORY, n_max, _next_gregory)[: n_max + 1]
 
 
 def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
     """b_0..b_{n_max} of the second kind, exponential convention (n! * G_n)."""
     return [math.factorial(n) * g for n, g in enumerate(gregory_coefficients(n_max))]
+
+
+def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
+    """b_0(x)..b_{n_max}(x) at a rational x: the egf coefficients of
+    t/log(1+t) * (1+t)^x, from one ``gregory_coefficients`` call."""
+    x = normalize_point(x)
+    return pow1p_row(TruncatedSeries(tuple(gregory_coefficients(n_max))), x)
 
 
 @lru_cache(maxsize=None)
@@ -84,25 +91,25 @@ def _appell(p: Sequence[Fraction], n: int) -> Polynomial:
 
 def bernoulli_values(n_max: int, x: Scalar) -> list[Fraction]:
     """B_0(x)..B_{n_max}(x), B_n(x) = sum_j C(n, j) B_{n-j} x^j, from one
-    ``bernoulli_numbers`` call."""
+    ``bernoulli_numbers`` call. A ``float`` x raises ``TypeError``."""
     b = bernoulli_numbers(n_max)
-    return [_appell(b, n)(Fraction(x)) for n in range(n_max + 1)]
+    return [_appell(b, n)(x) for n in range(n_max + 1)]
 
 
 def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
     """B_n^(alpha)(x): egf coefficient n of (t/(e^t - 1))^alpha * e^(x t).
 
     The power is a rational series (Miller's recurrence, see
-    ``TruncatedSeries.__pow__``); with p its egf coefficients, B_n^(alpha)(x)
-    is the polynomial sum_j C(n, j) p_{n-j} x^j, substituted at ``x``. A
-    rational ``x`` returns a ``Fraction``, a polynomial one a ``Polynomial``.
-    Only non-negative integer orders are supported.
+    ``TruncatedSeries.__pow__``) of the cached prefix of t/(e^t - 1); with p
+    its egf coefficients, B_n^(alpha)(x) is the polynomial
+    sum_j C(n, j) p_{n-j} x^j, substituted at ``x``. A rational ``x`` returns
+    a ``Fraction``, a polynomial one a ``Polynomial``, and a ``float`` raises
+    ``TypeError``. Only non-negative integer orders are supported.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if not isinstance(alpha, int) or alpha < 0:
         raise ValueError("negative order unsupported")
-    powered = _t_over_expm1(n) ** alpha
-    if not isinstance(x, Polynomial):
-        x = Fraction(x)
+    raw = extend(_BERNOULLI_RAW, n, _next_bernoulli_raw)[: n + 1]
+    powered = TruncatedSeries(tuple(raw)) ** alpha
     return _appell([powered.egf_coefficient(m) for m in range(n + 1)], n)(x)

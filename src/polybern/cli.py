@@ -182,7 +182,7 @@ def _table_values(args, parser: argparse.ArgumentParser):
         params["convention"] = convention
         if x is not None:
             params["x"] = str(x)
-            values = [bernoulli.bernoulli2nd_poly(n)(x) for n in range(n_max + 1)]
+            values = bernoulli.bernoulli2nd_values(n_max, x)
         else:
             values = bernoulli.bernoulli2nd_numbers(n_max)
         if convention == "ogf":

@@ -4,8 +4,8 @@ Stirling numbers of the second kind S2(n, l) expand monomials in the
 falling-factorial basis (x^n = sum_l S2(n, l) (x)_l); signed Stirling
 numbers of the first kind S1(n, l) go the other way ((x)_n =
 sum_l S1(n, l) x^l). Only the signed first-kind convention is exposed.
-Values are memoized row by row and returned as ``Fraction`` (denominator 1)
-so they flow straight into series arithmetic.
+Values are memoized row by row (see ``extend``) and returned as ``Fraction``
+(denominator 1) so they flow straight into series arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .polynomial import Polynomial, X
 
@@ -55,65 +55,59 @@ def falling_factorial_poly(n: int) -> Polynomial:
     return Polynomial.constant(result)
 
 
-class StirlingTriangle:
-    """Memoized triangle of Stirling numbers.
+# One lock for every grow-only sequence; no step function takes it again.
+_grow_lock = threading.Lock()
 
-    ``kind`` is ``"second"`` or ``"first-signed"``. Rows are immutable once
-    computed; extension is serialized by a lock, so concurrent readers are
-    safe and always see identical values.
+
+def extend(seq: list, n: int, step: Callable[[list], object]) -> list:
+    """Grow the cached prefix ``seq`` until index ``n`` exists; returns it.
+
+    Each new term is ``step(seq)``, appended under one lock, so a sequence
+    grows one term at a time and is never recomputed. Terms never change once
+    appended, so readers index the list without the lock.
     """
-
-    KINDS = ("second", "first-signed")
-
-    def __init__(self, kind: str) -> None:
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown Stirling triangle kind {kind!r}")
-        self.kind = kind
-        self._rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-        self._lock = threading.Lock()
-
-    def _extend(self, n: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1]
-                row = []
-                for l in range(m + 1):
-                    above_left = prev[l - 1] if l >= 1 else Fraction(0)
-                    above = prev[l] if l < m else Fraction(0)
-                    if self.kind == "second":
-                        row.append(above_left + l * above)
-                    else:
-                        row.append(above_left - (m - 1) * above)
-                self._rows.append(tuple(row))
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
-            raise ValueError("Stirling numbers require n >= 0")
-        if n >= len(self._rows):
-            self._extend(n)
-        return self._rows[n]
-
-    def value(self, n: int, l: int) -> Fraction:
-        if n < 0:
-            raise ValueError("Stirling numbers require n >= 0")
-        if l < 0 or l > n:
-            return Fraction(0)
-        return self.row(n)[l]
+    if len(seq) <= n:
+        with _grow_lock:
+            while len(seq) <= n:
+                seq.append(step(seq))
+    return seq
 
 
-_SECOND = StirlingTriangle("second")
-_FIRST_SIGNED = StirlingTriangle("first-signed")
+def _next_stirling2_row(rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
+    prev = rows[-1]
+    pairs = zip((Fraction(0),) + prev, prev + (Fraction(0),))
+    return tuple(left + l * above for l, (left, above) in enumerate(pairs))
+
+
+def _next_stirling1_row(rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
+    prev = rows[-1]
+    m1 = len(rows) - 1
+    pairs = zip((Fraction(0),) + prev, prev + (Fraction(0),))
+    return tuple(left - m1 * above for left, above in pairs)
+
+
+_STIRLING2_ROWS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+_STIRLING1_ROWS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+
+
+def _stirling(rows, step, n: int, l: int) -> Fraction:
+    if n < 0:
+        raise ValueError("Stirling numbers require n >= 0")
+    if l < 0 or l > n:
+        return Fraction(0)
+    return extend(rows, n, step)[n][l]
 
 
 def stirling2(n: int, l: int) -> Fraction:
     """Stirling number of the second kind S2(n, l)."""
-    return _SECOND.value(n, l)
+    return _stirling(_STIRLING2_ROWS, _next_stirling2_row, n, l)
 
 
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind S1(n, l)."""
-    return _FIRST_SIGNED.value(n, l)
+    return _stirling(_STIRLING1_ROWS, _next_stirling1_row, n, l)
 
 
 def to_falling_basis(p: Polynomial) -> list[Fraction]:

@@ -34,13 +34,13 @@ from .bernoulli import (
     higher_order_bernoulli_poly,
 )
 from .combinatorics import binomial, stirling1, stirling2, to_monomial_basis
-from .polynomial import Polynomial, X, interpolate
+from .polynomial import Polynomial, X, interpolate, normalize_point
 from .series import (
     TruncatedSeries,
     constant_series,
     exp_series,
     log1p_series,
-    pow1p_series,
+    pow1p_row,
     t_series,
 )
 
@@ -52,14 +52,6 @@ def _check_k(k: int) -> int:
     if not isinstance(k, int):
         raise TypeError(f"k must be an int, not {type(k).__name__}")
     return k
-
-
-def _normalize_point(x: Scalar | Polynomial) -> Value:
-    if isinstance(x, Polynomial):
-        return x
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"a point must be an int, Fraction or Polynomial, not {type(x).__name__}")
-    return Fraction(x)
 
 
 def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
@@ -115,10 +107,9 @@ def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Va
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     quotient = _gf_values(n_max, _check_k(k))
-    x = _normalize_point(x)
+    x = normalize_point(x)
     if not isinstance(x, Polynomial):
-        series = quotient * pow1p_series(x, n_max)
-        return tuple(series.egf_coefficient(n) for n in range(n_max + 1))
+        return pow1p_row(quotient, x)
     q = [quotient.egf_coefficient(m) for m in range(n_max + 1)]
     return tuple(
         to_monomial_basis([binomial(n, j) * q[n - j] for j in range(n + 1)])(x)
@@ -161,7 +152,6 @@ def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
     """The k = 2 closed sum: sum_l C(n, l) B_l b_{n-l}(x) / (l+1)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    x = _normalize_point(x)
     weights = tuple(b / (l + 1) for l, b in enumerate(bernoulli_numbers(n)))
     return _convolution(weights)(x)
 
@@ -172,7 +162,6 @@ def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     if n < 0:
         raise ValueError("index must be >= 0")
     _check_k(k)
-    x = _normalize_point(x)
     weights = tuple(_li_coeff(l + 1, k) / (l + 1) for l in range(n + 1))
     return _convolution(weights)(x)
 
@@ -186,7 +175,6 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     if n < 1:
         raise ValueError("thm3 requires n >= 1")
     _check_k(k)
-    x = _normalize_point(x)
     # a_0^(k) = 0, so the sum over p = 1..n is the convolution from p = 0.
     return _convolution(tuple(_li_coeff(p, k) for p in range(n + 1)))(x)
 
@@ -204,7 +192,7 @@ def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Value:
     """sum_l C(n, l) b_{n-l}^(k)(x) (y)_l — equals b_n^(k)(x+y)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _addition_sum(poly_b2nd_values(n, k, x), n, _normalize_point(y))
+    return _addition_sum(poly_b2nd_values(n, k, x), n, normalize_point(y))
 
 
 # -- identity verification -----------------------------------------------
@@ -336,7 +324,8 @@ def _check_eq9(n_max, ks, xs):
 
 def _check_eq2(n_max, ks, xs):
     # Independent route: t/log(1+t) * (1+t)^x built directly, without going
-    # through the polylog.
+    # through the polylog. Its series quotient shares no code with the
+    # Gregory recurrence behind bernoulli2nd_poly, so it checks that too.
     order = n_max + 1
     quotient = t_series(order).div_valuation(log1p_series(order), 1)
     polys = _interpolated_gf(quotient.egf_coefficient(n) for n in range(n_max + 1))
@@ -448,7 +437,7 @@ def verify_identity(
     if spec.ks is not None:
         ks = tuple(sorted(_check_k(k) for k in (spec.ks if ks is None else ks)))
     if spec.xs is not None:
-        xs = _sorted_points(_normalize_point(x) for x in (spec.xs if xs is None else xs))
+        xs = _sorted_points(normalize_point(x) for x in (spec.xs if xs is None else xs))
     spec = replace(spec, ks=ks, xs=xs)
     report = VerificationReport(name, _describe_range(spec, n_max))
     for params, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):

@@ -135,8 +135,9 @@ class Polynomial:
 
         ``point`` may itself be a polynomial, in which case the result is the
         substituted polynomial (e.g. ``p(X + 1)`` shifts the argument);
-        ``p(X)`` is ``p`` itself.
+        ``p(X)`` is ``p`` itself. A ``float`` raises ``TypeError``.
         """
+        point = normalize_point(point)
         if point == X:
             return self
         result: Polynomial | Fraction = Fraction(0)
@@ -177,6 +178,16 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def normalize_point(x: "Polynomial | Scalar") -> "Polynomial | Fraction":
+    """A point as a ``Polynomial`` or a ``Fraction``; anything else, a ``float``
+    included, raises ``TypeError`` rather than becoming its binary fraction."""
+    if isinstance(x, Polynomial):
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"a point must be an int, Fraction or Polynomial, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def interpolate(points: Iterable[Scalar], values: Iterable[Scalar]) -> Polynomial:

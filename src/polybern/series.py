@@ -304,3 +304,11 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
         # (x)_j / j! = (x)_{j-1}/(j-1)! * (x - (j-1)) / j
         coeffs.append(coeffs[-1] * (x - (j - 1)) / j)
     return TruncatedSeries(tuple(coeffs))
+
+
+def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
+    """The egf coefficients of series * (1+t)^x at a rational x: the values
+    at x of a family whose generating function depends on x only through
+    the factor (1+t)^x. One series product."""
+    product = series * pow1p_series(x, series.order)
+    return tuple(product.egf_coefficient(n) for n in range(series.order + 1))

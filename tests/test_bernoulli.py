@@ -1,12 +1,17 @@
+import importlib.util
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import naive_mul
+from polybern import bernoulli
 from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
+    bernoulli2nd_values,
     bernoulli_numbers,
     bernoulli_values,
     gregory_coefficients,
@@ -14,7 +19,7 @@ from polybern.bernoulli import (
 )
 from polybern.polybernoulli import verify_identity
 from polybern.polynomial import Polynomial, X, interpolate
-from polybern.series import log1p_series, pow1p_series, t_series
+from polybern.series import TruncatedSeries, log1p_series, pow1p_series, t_series
 
 
 def test_classical_bernoulli_values():
@@ -74,6 +79,75 @@ def test_growing_cache_preserves_prefix():
     assert bernoulli2nd_numbers(30)[:6] == bernoulli2nd_numbers(5)
 
 
+def fresh_bernoulli_module():
+    """A new copy of polybern.bernoulli whose caches start empty."""
+    spec = importlib.util.spec_from_file_location("polybern._fresh_bernoulli", bernoulli.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    return fresh
+
+
+def test_walking_n_extends_the_cached_prefixes(monkeypatch):
+    # Walking n upward from empty caches must take no series quotient (a
+    # refill would), and every step must be a prefix of one call at 40.
+    fresh = fresh_bernoulli_module()
+
+    def refuse(*args):
+        raise AssertionError("div_unit called")
+
+    monkeypatch.setattr(TruncatedSeries, "div_unit", refuse)
+    for name in ("bernoulli_numbers", "gregory_coefficients", "bernoulli2nd_numbers"):
+        fn = getattr(fresh, name)
+        walk = [fn(n) for n in range(41)]
+        full = fn(40)
+        for n, values in enumerate(walk):
+            assert values == full[: n + 1], (name, n)
+        assert full == getattr(bernoulli, name)(40), name
+
+
+def test_concurrent_growth_appends_each_term_once():
+    fresh = fresh_bernoulli_module()
+    results = {}
+
+    def walk(i):
+        for n in range(i % 4, 60, 4):
+            results[i] = (fresh.bernoulli_numbers(n), fresh.gregory_coefficients(n))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for numbers, gregory in results.values():
+        n = len(numbers) - 1
+        assert numbers == bernoulli_numbers(n)
+        assert gregory == gregory_coefficients(n)
+
+
+def test_an_interrupted_step_leaves_the_recurrence_intact():
+    # The step of t/(e^t - 1), interrupted once after caching D_2 = 1/3!.
+    step = bernoulli._reciprocal_step(lambda m: F(1, math.factorial(m + 1)))
+
+    class Interrupt:
+        def __mul__(self, other):
+            raise KeyboardInterrupt
+
+    q = [F(1)]
+    q.append(step(q))
+    with pytest.raises(KeyboardInterrupt):
+        step([q[0], Interrupt()])
+    while len(q) < 8:
+        q.append(step(q))
+    assert q == [b / math.factorial(n) for n, b in enumerate(bernoulli_numbers(7))]
+
+
 def test_second_kind_polynomials():
     assert bernoulli2nd_poly(0) == Polynomial.constant(1)
     assert bernoulli2nd_poly(1) == X + F(1, 2)
@@ -89,6 +163,27 @@ def test_second_kind_polynomials_match_generating_function():
     for n in range(n_max + 1):
         values = [row.egf_coefficient(n) for row in rows[: n + 1]]
         assert bernoulli2nd_poly(n) == interpolate(range(n + 1), values)
+
+
+def test_second_kind_values_match_the_polynomials():
+    # One gf row against the basis change, at points that are not integers.
+    for x in (F(0), F(4, 3), F(-7, 2)):
+        assert bernoulli2nd_values(30, x) == tuple(bernoulli2nd_poly(n)(x) for n in range(31))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bernoulli_values(3, 0.1),
+        lambda: higher_order_bernoulli_poly(3, 2, 0.1),
+        lambda: bernoulli2nd_poly(3)(0.1),
+        lambda: bernoulli2nd_values(3, 0.1),
+    ],
+    ids=["bernoulli_values", "higher_order_bernoulli_poly", "bernoulli2nd_poly", "bernoulli2nd_values"],
+)
+def test_float_point_is_rejected(call):
+    with pytest.raises(TypeError, match="not float"):
+        call()
 
 
 def test_second_kind_polynomials_at_zero():
