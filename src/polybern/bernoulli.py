@@ -25,16 +25,37 @@ from .series import TruncatedSeries, pow1p_row
 Scalar = Union[int, Fraction]
 
 
+def _appended(mirror: tuple[tuple[int, ...], int], value: Fraction) -> tuple[tuple[int, ...], int]:
+    """``mirror`` = (nums, L), values nums[i] / L, with ``value`` appended and
+    every numerator rescaled to the new common denominator."""
+    nums, den = mirror
+    new = math.lcm(den, value.denominator)
+    if new != den:
+        nums = tuple(c * (new // den) for c in nums)
+    return nums + (value.numerator * (new // value.denominator),), new
+
+
 def _reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list[Fraction]], Fraction]:
     """The ``extend`` step of the coefficients q of 1/D(t), D_0 = 1 and
-    D_m = d(m): q_n = -sum_{j<n} q_j D_{n-j}, with D's coefficients cached."""
-    den = [Fraction(1)]
+    D_m = d(m): q_n = -sum_{j<n} q_j D_{n-j}.
+
+    The closure keeps D's coefficients and the prefix q as ints over one
+    common denominator each, grown one term at a time, so the sum runs in
+    ints, skips the zero q_j and reduces once. Each mirror is replaced whole,
+    so an interrupted step leaves both consistent.
+    """
+    q_int: tuple[tuple[int, ...], int] = ((), 1)
+    d_int: tuple[tuple[int, ...], int] = ((1,), 1)
 
     def step(q: list[Fraction]) -> Fraction:
+        nonlocal q_int, d_int
         n = len(q)
-        if len(den) == n:  # not yet appended by a step that was interrupted
-            den.append(d(n))
-        return -sum(c * den[n - j] for j, c in enumerate(q))
+        if len(d_int[0]) == n:  # not yet appended by a step that was interrupted
+            d_int = _appended(d_int, d(n))
+        while len(q_int[0]) < n:
+            q_int = _appended(q_int, q[len(q_int[0])])
+        (qs, q_den), (ds, d_den) = q_int, d_int
+        return Fraction(-sum(c * ds[n - j] for j, c in enumerate(qs) if c), q_den * d_den)
 
     return step
 

@@ -4,8 +4,9 @@ Stirling numbers of the second kind S2(n, l) expand monomials in the
 falling-factorial basis (x^n = sum_l S2(n, l) (x)_l); signed Stirling
 numbers of the first kind S1(n, l) go the other way ((x)_n =
 sum_l S1(n, l) x^l). Only the signed first-kind convention is exposed.
-Values are memoized row by row (see ``extend``) and returned as ``Fraction``
-(denominator 1) so they flow straight into series arithmetic.
+Rows are memoized as int tuples (see ``extend``); ``stirling1``/``stirling2``
+return ``Fraction`` (denominator 1) so they flow straight into series
+arithmetic, and ``stirling2_row`` hands out a cached row of ints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Union
 
-from .polynomial import Polynomial, X
+from .polynomial import Polynomial, X, common_denominator
 
 Scalar = Union[int, Fraction]
 
@@ -73,31 +74,34 @@ def extend(seq: list, n: int, step: Callable[[list], object]) -> list:
     return seq
 
 
-def _next_stirling2_row(rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+def _next_stirling2_row(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
     prev = rows[-1]
-    pairs = zip((Fraction(0),) + prev, prev + (Fraction(0),))
+    pairs = zip((0,) + prev, prev + (0,))
     return tuple(left + l * above for l, (left, above) in enumerate(pairs))
 
 
-def _next_stirling1_row(rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+def _next_stirling1_row(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
     prev = rows[-1]
     m1 = len(rows) - 1
-    pairs = zip((Fraction(0),) + prev, prev + (Fraction(0),))
+    pairs = zip((0,) + prev, prev + (0,))
     return tuple(left - m1 * above for left, above in pairs)
 
 
-_STIRLING2_ROWS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-_STIRLING1_ROWS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+_STIRLING2_ROWS: list[tuple[int, ...]] = [(1,)]
+_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def _row(rows, step, n: int) -> tuple[int, ...]:
+    if n < 0:
+        raise ValueError("Stirling numbers require n >= 0")
+    return extend(rows, n, step)[n]
 
 
 def _stirling(rows, step, n: int, l: int) -> Fraction:
-    if n < 0:
-        raise ValueError("Stirling numbers require n >= 0")
-    if l < 0 or l > n:
-        return Fraction(0)
-    return extend(rows, n, step)[n][l]
+    row = _row(rows, step, n)
+    return Fraction(row[l]) if 0 <= l <= n else Fraction(0)
 
 
 def stirling2(n: int, l: int) -> Fraction:
@@ -108,6 +112,11 @@ def stirling2(n: int, l: int) -> Fraction:
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind S1(n, l)."""
     return _stirling(_STIRLING1_ROWS, _next_stirling1_row, n, l)
+
+
+def stirling2_row(n: int) -> tuple[int, ...]:
+    """S2(n, 0..n) as ints, the cached row itself."""
+    return _row(_STIRLING2_ROWS, _next_stirling2_row, n)
 
 
 def to_falling_basis(p: Polynomial) -> list[Fraction]:
@@ -123,12 +132,16 @@ def to_falling_basis(p: Polynomial) -> list[Fraction]:
 
 
 def to_monomial_basis(d: list[Fraction]) -> Polynomial:
-    """Expand sum_l d_l (x)_l back to monomial coefficients."""
-    size = len(d)
-    out = []
-    for i in range(size):
-        total = Fraction(0)
-        for l in range(i, size):
-            total += d[l] * stirling1(l, i)
-        out.append(total)
-    return Polynomial(tuple(out))
+    """Expand sum_l d_l (x)_l back to monomial coefficients.
+
+    The d_l go over their common denominator, so each coefficient
+    sum_l d_l S1(l, i) is summed in ints and reduced once.
+    """
+    nums, den = common_denominator(d)
+    rows = extend(_STIRLING1_ROWS, len(nums) - 1, _next_stirling1_row)
+    out = [0] * len(nums)
+    for l, c in enumerate(nums):
+        if c:
+            for i, s in enumerate(rows[l]):
+                out[i] += c * s
+    return Polynomial(tuple(Fraction(c, den) for c in out))

@@ -21,10 +21,11 @@ Nesting is capped at ``MAX_DEPTH`` levels, both for open parentheses,
 function calls and unary minus signs and for the height of the parsed tree
 (a flat sum of n terms is n-1 levels tall), so parsing and evaluation never
 exhaust the interpreter stack. An integer literal has at most
-``MAX_LITERAL_DIGITS`` digits and a power's exponent is at most
-``MAX_EXPONENT``, so one literal raised to one power stays small enough to
-compute and print quickly. Each cap is a ``ParseError`` at the offending
-token, before anything is evaluated.
+``MAX_LITERAL_DIGITS`` digits. A power's exponent is at most
+``MAX_EXPONENT``, and so is the product of the exponents along any chain of
+nested powers (``(2^40)^40`` multiplies to 1600), so a literal raised to
+powers stays small enough to compute and print quickly. Each cap is a
+``ParseError`` at the offending token, before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ class _Parser:
         self.pos = 0
         self.nesting = -1  # open levels; the whole expression is not nested
         self.heights: dict[int, int] = {}  # id(node) -> tree height
+        # id(node) -> largest product of exponents along a chain of nested
+        # powers inside the node; absent means 1
+        self.powers: dict[int, int] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -181,10 +185,14 @@ class _Parser:
         self.check_depth(self.nesting, self.tokens[self.pos - 1].column)
 
     def build(self, node: object, column: int, *parts: object) -> object:
-        """Record the tree height of a node built over ``parts``."""
+        """Record the tree height of a node built over ``parts``, and the
+        largest product of nested exponents it inherits from them."""
         height = 1 + max((self.heights.get(id(p), 0) for p in parts), default=0)
         self.check_depth(height, column)
         self.heights[id(node)] = height
+        power = max((self.powers.get(id(p), 1) for p in parts), default=1)
+        if power != 1:
+            self.powers[id(node)] = power
         return node
 
     def parse(self) -> object:
@@ -234,7 +242,13 @@ class _Parser:
             exponent = int(tok.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", tok.column)
+            power = exponent * self.powers.get(id(node), 1)
+            if power > MAX_EXPONENT:
+                raise ParseError(
+                    f"nested exponents multiply to more than {MAX_EXPONENT}", tok.column
+                )
             node = self.build(Pow(node, exponent), op.column, node)
+            self.powers[id(node)] = power
         return node
 
     def atom(self) -> object:

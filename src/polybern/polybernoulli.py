@@ -33,8 +33,8 @@ from .bernoulli import (
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
-from .combinatorics import binomial, stirling1, stirling2, to_monomial_basis
-from .polynomial import Polynomial, X, interpolate, normalize_point
+from .combinatorics import binomial, stirling1, stirling2, stirling2_row, to_monomial_basis
+from .polynomial import Polynomial, X, common_denominator, interpolate, normalize_point
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -122,30 +122,43 @@ def _li_coeff(n: int, k: int) -> Fraction:
     """a_n^(k) = sum_{m=1}^{n} (-1)^(n+m) m! S2(n, m) / m^k.
 
     The egf coefficient of t^n in Li_k(1 - e^(-t)), from
-    (1 - e^(-t))^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!.
+    (1 - e^(-t))^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!. It reads the
+    Stirling triangle, not the series, so Theorem 2 stays an independent
+    check on the gf. The sum runs in ints: over the denominator
+    lcm(1..n)^k for k > 0, where 1/m^k = (lcm(1..n)/m)^k / lcm(1..n)^k, and
+    over 1 for k <= 0, where m^(-k) is an integer.
     """
-    total = Fraction(0)
-    for m in range(1, n + 1):
-        term = Fraction(math.factorial(m)) * stirling2(n, m) * Fraction(m) ** (-k)
-        if (n + m) % 2:
-            term = -term
-        total += term
-    return total
+    if k > 0:
+        root = math.lcm(*range(1, n + 1))
+        den, powers = root**k, [(root // m) ** k for m in range(1, n + 1)]
+    else:
+        den, powers = 1, [m**-k for m in range(1, n + 1)]
+    s2 = stirling2_row(n)
+    total, factorial = 0, 1
+    for m, power in enumerate(powers, 1):
+        factorial *= m
+        term = factorial * s2[m] * power
+        total += -term if (n + m) % 2 else term
+    return Fraction(total, den)
 
 
 @lru_cache(maxsize=None)
 def _convolution(weights: tuple[Fraction, ...]) -> Polynomial:
     """sum_l C(n, l) w_l b_{n-l}(X), n = len(weights) - 1: the closed sum of
-    Theorems 1-3, which differ only in their weights w_l."""
+    Theorems 1-3, which differ only in their weights w_l.
+
+    The weights and each b_m(X) go over their common denominators, and the
+    b_m over the lcm of theirs, so every coefficient is one int sum."""
     n = len(weights) - 1
-    out = [Fraction(0)] * (n + 1)
-    for l, w in enumerate(weights):
-        if w == 0:
-            continue
-        scale = binomial(n, l) * w
-        for j, c in enumerate(bernoulli2nd_poly(n - l).coeffs):
+    w, w_den = common_denominator(weights)
+    polys = {l: common_denominator(bernoulli2nd_poly(n - l).coeffs) for l in range(n + 1) if w[l]}
+    b_den = math.lcm(*[den for _, den in polys.values()])  # a list, as in common_denominator
+    out = [0] * (n + 1)
+    for l, (coeffs, den) in polys.items():
+        scale = math.comb(n, l) * w[l] * (b_den // den)
+        for j, c in enumerate(coeffs):
             out[j] += scale * c
-    return Polynomial(tuple(out))
+    return Polynomial(tuple(Fraction(c, w_den * b_den) for c in out))
 
 
 def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
@@ -179,20 +192,31 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     return _convolution(tuple(_li_coeff(p, k) for p in range(n + 1)))(x)
 
 
-def _addition_sum(table_x: tuple[Value, ...], n: int, y: Scalar) -> Value:
-    total: Value = Fraction(0)
-    falling = Fraction(1)  # (y)_l
+def _addition_sum(row: tuple[list[int], int], n: int, y: Fraction) -> Fraction:
+    """sum_l C(n, l) b_{n-l}(x) (y)_l for a row b_m(x) = nums[m] / den.
+
+    With y = a/c, (y)_l c^l = prod_{i<l} (a - i c), so the sum is one int
+    sum over den c^n."""
+    nums, den = row
+    a, c = y.numerator, y.denominator
+    total, falling = 0, 1  # falling = (y)_l c^l
     for l in range(n + 1):
-        total = total + binomial(n, l) * table_x[n - l] * falling
-        falling = falling * (y - l)
-    return total
+        total += math.comb(n, l) * nums[n - l] * falling * c ** (n - l)
+        falling *= a - l * c
+    return Fraction(total, den * c**n)
 
 
-def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Value:
-    """sum_l C(n, l) b_{n-l}^(k)(x) (y)_l — equals b_n^(k)(x+y)."""
+def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Fraction:
+    """sum_l C(n, l) b_{n-l}^(k)(x) (y)_l — equals b_n^(k)(x+y).
+
+    x and y must be rational; a ``Polynomial`` or ``float`` raises
+    ``TypeError``."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _addition_sum(poly_b2nd_values(n, k, x), n, normalize_point(y))
+    x, y = normalize_point(x), normalize_point(y)
+    if isinstance(x, Polynomial) or isinstance(y, Polynomial):
+        raise TypeError("theorem4_rhs takes rational x and y, not a Polynomial")
+    return _addition_sum(common_denominator(poly_b2nd_values(n, k, x)), n, y)
 
 
 # -- identity verification -----------------------------------------------
@@ -287,6 +311,10 @@ def _check_thm4(n_max, ks, xs):
     # x = i/3 and x + y = i/3 + j/5; j = 0 gives the x points themselves.
     points = {Fraction(i, 3) + Fraction(j, 5) for i in range(n_max + 1) for j in range(n_max + 1)}
     rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
+    # Each x row goes over its common denominator once, not once per (n, y).
+    scaled = {
+        (k, i): common_denominator(rows[k, Fraction(i, 3)]) for k in ks for i in range(n_max + 1)
+    }
     for n in range(n_max + 1):
         for k in ks:
             for i in range(n + 1):
@@ -294,7 +322,7 @@ def _check_thm4(n_max, ks, xs):
                 for j in range(n + 1):
                     y = Fraction(j, 5)
                     lhs = rows[k, x + y][n]
-                    rhs = _addition_sum(rows[k, x], n, y)
+                    rhs = _addition_sum(scaled[k, i], n, y)
                     yield {"n": n, "k": k, "x": str(x), "y": str(y)}, lhs, rhs
 
 

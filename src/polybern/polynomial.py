@@ -3,10 +3,17 @@
 Deliberately minimal: addition, multiplication, scalar division, exact
 evaluation and substitution, and Newton interpolation through rational
 points. There is no polynomial division.
+
+``common_denominator`` puts rationals over their least common denominator,
+so a sum of products runs in ``int``s and reduces once per result rather
+than once per term. Evaluation at a rational point uses it (a homogeneous
+Horner rule), and so do the closed sums in ``polybernoulli`` and the basis
+change in ``combinatorics``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -133,17 +140,30 @@ class Polynomial:
     def __call__(self, point: "Polynomial | Scalar") -> "Polynomial | Fraction":
         """Evaluate exactly by Horner's rule.
 
+        At a rational point a/b the rule is homogeneous: with the coefficients
+        c_i = C_i / L over their common denominator, p(a/b) is
+        sum_i C_i a^i b^(n-i) over L b^n, summed in ints and reduced once.
         ``point`` may itself be a polynomial, in which case the result is the
         substituted polynomial (e.g. ``p(X + 1)`` shifts the argument);
         ``p(X)`` is ``p`` itself. A ``float`` raises ``TypeError``.
         """
         point = normalize_point(point)
-        if point == X:
-            return self
-        result: Polynomial | Fraction = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * point + c
-        return result
+        if isinstance(point, Polynomial):
+            if point == X:
+                return self
+            result: Polynomial | Fraction = Fraction(0)
+            for c in reversed(self.coeffs):
+                result = result * point + c
+            return result
+        if not self.coeffs:
+            return Fraction(0)
+        nums, den = common_denominator(self.coeffs)
+        a, b = point.numerator, point.denominator
+        acc, scale = nums[-1], 1  # scale = b^(steps taken)
+        for c in reversed(nums[:-1]):
+            scale *= b
+            acc = acc * a + c * scale
+        return Fraction(acc, den * scale)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -188,6 +208,19 @@ def normalize_point(x: "Polynomial | Scalar") -> "Polynomial | Fraction":
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"a point must be an int, Fraction or Polynomial, not {type(x).__name__}")
     return Fraction(x)
+
+
+def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers ``nums`` and the least ``L > 0`` with values[i] == nums[i] / L.
+
+    ``L`` is the lcm of the denominators (1 for no values).
+    """
+    values = list(values)
+    # Star-arguments from a list, not a generator: CPython sizes the argument
+    # tuple of a generator by resizing it, and the resized tuples pile up in
+    # the interpreter's tuple free lists (half a megabyte in one ``verify``).
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def interpolate(points: Iterable[Scalar], values: Iterable[Scalar]) -> Polynomial:

@@ -87,3 +87,55 @@ def one_minus_exp_neg_coeffs(order: int) -> list[Fraction]:
         fact *= j
         out.append(-Fraction((-1) ** j, fact))
     return out
+
+
+# The loops below are the term-by-term Fraction sums that the library now
+# runs in ints over a common denominator; each reduces once per term.
+
+
+def monomial_from_falling(d: list[Fraction]) -> list[Fraction]:
+    """Monomial coefficients of sum_l d_l (x)_l, one Fraction product per term."""
+    out = [Fraction(0)] * len(d)
+    for l, c in enumerate(d):
+        for i, f in enumerate(falling_coeffs(l)):
+            out[i] += c * f
+    return out
+
+
+def horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    """Horner's rule over Fractions, lowest power first."""
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def addition_sum(row: list[Fraction], n: int, y: Fraction) -> Fraction:
+    """sum_l C(n, l) row[n - l] (y)_l with a running falling factorial."""
+    binomials = pascal_row(n)
+    total = Fraction(0)
+    falling = Fraction(1)
+    for l in range(n + 1):
+        total += binomials[l] * row[n - l] * falling
+        falling *= y - l
+    return total
+
+
+def stirling2_explicit(n: int, m: int) -> int:
+    """S2(n, m) = (1/m!) sum_j (-1)^j C(m, j) (m - j)^n, no recurrence."""
+    row = pascal_row(m)
+    total = sum((-1) ** j * row[j] * (m - j) ** n for j in range(m + 1))
+    fact = 1
+    for i in range(2, m + 1):
+        fact *= i
+    return total // fact
+
+
+def li_coeff(n: int, k: int) -> Fraction:
+    """a_n^(k) = sum_{m=1}^{n} (-1)^(n+m) m! S2(n, m) / m^k, term by term."""
+    total = Fraction(0)
+    fact = 1
+    for m in range(1, n + 1):
+        fact *= m
+        total += (-1) ** (n + m) * fact * stirling2_explicit(n, m) * Fraction(m) ** (-k)
+    return total

@@ -135,9 +135,13 @@ def test_an_interrupted_step_leaves_the_recurrence_intact():
     # The step of t/(e^t - 1), interrupted once after caching D_2 = 1/3!.
     step = bernoulli._reciprocal_step(lambda m: F(1, math.factorial(m + 1)))
 
+    # The step reads each new q_j as its numerator and denominator.
     class Interrupt:
-        def __mul__(self, other):
+        @property
+        def numerator(self):
             raise KeyboardInterrupt
+
+        denominator = numerator
 
     q = [F(1)]
     q.append(step(q))

@@ -321,8 +321,9 @@ def test_eval_too_deep_exits_one(capsys, expr):
     [
         ("2^3000000", "error: column 3: exponent larger than 1000"),
         ("1 + " + "7" * 101, "error: column 5: integer literal longer than 100 digits"),
+        ("(2^40)^40", "error: column 8: nested exponents multiply to more than 1000"),
     ],
-    ids=["exponent", "literal"],
+    ids=["exponent", "literal", "power-of-power"],
 )
 def test_eval_over_a_cap_exits_one(capsys, expr, message):
     code, out, err = run_cli(capsys, "eval", "--expr", expr, "--order", "0")

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import falling_coeffs, pascal_row, set_partition_count
+from oracles import falling_coeffs, monomial_from_falling, pascal_row, set_partition_count
 from polybern.combinatorics import (
     binomial,
     falling_factorial_at,
     falling_factorial_poly,
     stirling1,
     stirling2,
+    stirling2_row,
     to_falling_basis,
     to_monomial_basis,
 )
@@ -132,3 +133,20 @@ def test_basis_conversions_are_mutually_inverse(coeffs):
     # round trip through the polynomial side.
     q = to_monomial_basis(d)
     assert to_monomial_basis(to_falling_basis(q)) == q
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=40), max_size=16))
+def test_monomial_basis_matches_the_fraction_loop(d):
+    p = to_monomial_basis(d)
+    assert all(type(c) is F for c in p.coeffs)
+    assert p == Polynomial(tuple(monomial_from_falling(d)))
+
+
+def test_stirling_values_are_fractions_over_int_rows():
+    assert to_monomial_basis([F(5, 3)]).coeffs == (F(5, 3),)
+    assert type(stirling1(6, 2)) is F and type(stirling2(6, 2)) is F
+    assert stirling2_row(0) == (1,)
+    assert stirling2_row(5) == (0, 1, 15, 25, 10, 1)
+    assert all(type(s) is int for s in stirling2_row(12))
+    with pytest.raises(ValueError):
+        stirling2_row(-1)

@@ -1,4 +1,6 @@
+import importlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -161,6 +163,42 @@ def test_exponent_cap():
     with pytest.raises(ParseError, match="exponent larger") as exc:
         parse_expr("(1+t)^3000000")
     assert exc.value.column == 7
+
+
+def test_nested_exponents_multiply_under_the_cap():
+    # (2^10)^10 is 2^100 and ((1+t)^2)^3 is (1+t)^6: both multiply to at most
+    # MAX_EXPONENT and still evaluate.
+    assert ev("(2^10)^10", 0).coeffs == (F(2**100),)
+    assert ev("((1+t)^2)^3", 6) == ev("(1+t)^6", 6)
+    assert parse_expr(f"(t^{MAX_EXPONENT})^1") == Pow(Pow(Var(), MAX_EXPONENT), 1)
+    assert parse_expr("((2^1000)^0)^1000") == Pow(Pow(Pow(Const(F(2)), 1000), 0), 1000)
+    for text, column in [
+        ("(2^40)^40", 8),
+        ("(2^1000)^1000", 10),
+        ("((2^10)^10)^11", 13),
+        # The chain runs through sums, products, calls and unary minus.
+        ("(1 + 2^40 * t)^40", 16),
+        ("(exp(t^40))^40", 13),
+        ("(-(2^501))^2", 12),
+    ]:
+        with pytest.raises(ParseError, match=f"multiply to more than {MAX_EXPONENT}") as exc:
+            parse_expr(text)
+        assert exc.value.column == column, text
+
+
+def test_series_eval_workload_expressions_parse(monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    texts = [
+        op.argv[op.argv.index("--expr") + 1]
+        for seed in range(1, 11)
+        for op in workloads.ops_for("series-eval", seed)
+        if not op.known_fault
+    ]
+    assert len(texts) == 60
+    for text in texts:
+        parse_expr(text)
 
 
 def test_literal_digit_cap():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
 from polybern import bernoulli, combinatorics, polybernoulli
 from polybern.bernoulli import bernoulli2nd_poly
@@ -17,7 +18,7 @@ from polybern.polybernoulli import (
     theorem4_rhs,
     verify_identity,
 )
-from polybern.polynomial import X
+from polybern.polynomial import X, common_denominator
 from polybern.series import TruncatedSeries, constant_series, t_series
 
 
@@ -236,6 +237,43 @@ def test_theorem4_matches_gf_addition():
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def test_theorem4_takes_rational_points_only():
+    for x, y in ((X, F(1)), (F(1), X), (X + 1, X)):
+        with pytest.raises(TypeError, match="rational"):
+            theorem4_rhs(2, 1, x, y)
+
+
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=40), min_size=1, max_size=12),
+    st.data(),
+)
+def test_addition_sum_matches_the_fraction_loop(row, data):
+    n = data.draw(st.integers(0, len(row) - 1))
+    y = data.draw(st.one_of(small_rationals, st.integers(-6, 6).map(F)))
+    value = polybernoulli._addition_sum(common_denominator(row), n, y)
+    assert type(value) is F
+    assert value == oracles.addition_sum(row, n, y)
+
+
+def test_addition_sum_edge_points():
+    row = [F(1), F(-1, 2), F(1, 6)]
+    for y in (F(0), F(3), F(-2), F(-5, 3)):
+        for n in range(3):
+            assert polybernoulli._addition_sum(common_denominator(row), n, y) == (
+                oracles.addition_sum(row, n, y)
+            )
+    assert polybernoulli._addition_sum(([7], 3), 0, F(4, 9)) == F(7, 3)
+
+
+def test_li_coeff_matches_the_fraction_loop():
+    for k in range(-5, 6):
+        for n in range(31):
+            value = polybernoulli._li_coeff(n, k)
+            assert type(value) is F
+            assert value == oracles.li_coeff(n, k), (n, k)
+    assert polybernoulli._li_coeff(0, 3) == 0 and polybernoulli._li_coeff(1, -4) == 1
 
 
 @given(st.integers(0, 8), st.integers(-3, 3), small_rationals, small_rationals)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polybern.polynomial import ONE, ZERO, Polynomial, X, interpolate
+from oracles import horner
+from polybern.polynomial import ONE, ZERO, Polynomial, X, common_denominator, interpolate
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -94,3 +95,37 @@ def test_interpolate_examples_and_errors():
         interpolate([1, 1], [2, 3])
     with pytest.raises(ValueError, match="one value per point"):
         interpolate([1, 2], [3])
+
+
+@given(st.lists(rationals, max_size=13))
+def test_common_denominator_round_trips_over_the_least_denominator(values):
+    nums, den = common_denominator(values)
+    assert all(type(c) is int for c in nums) and type(den) is int and den >= 1
+    assert [F(c, den) for c in nums] == values
+    # Least: no proper divisor den / p clears every denominator.
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        if den % p == 0:
+            assert any((v * (den // p)).denominator != 1 for v in values)
+
+
+def test_common_denominator_edge_cases():
+    assert common_denominator([]) == ([], 1)
+    assert common_denominator([0, 3, -2]) == ([0, 3, -2], 1)
+    assert common_denominator([F(1, 6), F(-3, 4), 2]) == ([2, -9, 24], 12)
+
+
+@given(st.lists(rationals, max_size=13), rationals)
+def test_evaluation_matches_fraction_horner(coeffs, x):
+    value = Polynomial(tuple(coeffs))(x)
+    assert type(value) is F
+    assert value == horner(coeffs, x)
+
+
+def test_evaluation_edge_points():
+    p = 3 * X**3 - F(1, 2) * X + F(2, 3)
+    for x in (0, 5, -4, F(0), F(-7, 3)):
+        for q in (ZERO, Polynomial.constant(F(-5, 4)), ONE, p):
+            value = q(x)
+            assert type(value) is F
+            assert value == horner(list(q.coeffs), F(x))
+    assert ZERO(F(2, 3)) == 0 and p(0) == F(2, 3) and p(-1) == F(-11, 6)
