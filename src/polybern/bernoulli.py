@@ -19,20 +19,10 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinatorics import binomial, extend, to_monomial_basis
-from .polynomial import Polynomial, X, normalize_point
+from .polynomial import Polynomial, X, appended, common_denominator, normalize_point
 from .series import TruncatedSeries, pow1p_row
 
 Scalar = Union[int, Fraction]
-
-
-def _appended(mirror: tuple[tuple[int, ...], int], value: Fraction) -> tuple[tuple[int, ...], int]:
-    """``mirror`` = (nums, L), values nums[i] / L, with ``value`` appended and
-    every numerator rescaled to the new common denominator."""
-    nums, den = mirror
-    new = math.lcm(den, value.denominator)
-    if new != den:
-        nums = tuple(c * (new // den) for c in nums)
-    return nums + (value.numerator * (new // value.denominator),), new
 
 
 def _reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list[Fraction]], Fraction]:
@@ -51,9 +41,9 @@ def _reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list[Fraction]],
         nonlocal q_int, d_int
         n = len(q)
         if len(d_int[0]) == n:  # not yet appended by a step that was interrupted
-            d_int = _appended(d_int, d(n))
+            d_int = appended(d_int, [d(n)])
         while len(q_int[0]) < n:
-            q_int = _appended(q_int, q[len(q_int[0])])
+            q_int = appended(q_int, [q[len(q_int[0])]])
         (qs, q_den), (ds, d_den) = q_int, d_int
         return Fraction(-sum(c * ds[n - j] for j, c in enumerate(qs) if c), q_den * d_den)
 
@@ -102,6 +92,14 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
         raise ValueError("index must be >= 0")
     b = bernoulli2nd_numbers(n)
     return to_monomial_basis([binomial(n, j) * b[n - j] for j in range(n + 1)])
+
+
+@lru_cache(maxsize=None)
+def bernoulli2nd_int_row(n: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients of ``bernoulli2nd_poly(n)`` as ints over their least
+    common denominator, lowest power first."""
+    nums, den = common_denominator(bernoulli2nd_poly(n).coeffs)
+    return tuple(nums), den
 
 
 def _appell(p: Sequence[Fraction], n: int) -> Polynomial:

@@ -54,12 +54,12 @@ def _parse_k_range(text: str) -> list[int]:
     text = text.strip()
     m = re.match(r"^(-?\d+)\.\.(-?\d+)$", text)
     if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
+        lo, hi = polybernoulli.check_k(int(m.group(1))), polybernoulli.check_k(int(m.group(2)))
         if lo > hi:
             raise ValueError(f"empty k range: {text!r}")
         return list(range(lo, hi + 1))
     if re.match(r"^-?\d+$", text):
-        return [int(text)]
+        return [polybernoulli.check_k(int(text))]
     raise ValueError(f"not an integer or a..b range: {text!r}")
 
 
@@ -190,6 +190,10 @@ def _table_values(args, parser: argparse.ArgumentParser):
     elif kind == "poly2nd":
         if args.k is None:
             parser.error("--kind poly2nd requires -k")
+        try:
+            polybernoulli.check_k(args.k)
+        except ValueError as exc:
+            parser.error(str(exc))
         params["k"] = str(args.k)
         point = x if x is not None else Fraction(0)
         params["x"] = str(point)

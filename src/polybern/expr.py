@@ -24,7 +24,8 @@ exhaust the interpreter stack. An integer literal has at most
 ``MAX_LITERAL_DIGITS`` digits. A power's exponent is at most
 ``MAX_EXPONENT``, and so is the product of the exponents along any chain of
 nested powers (``(2^40)^40`` multiplies to 1600), so a literal raised to
-powers stays small enough to compute and print quickly. Each cap is a
+powers stays small enough to compute and print quickly. The order of ``Li``
+is at most ``polybernoulli.MAX_ABS_K`` in absolute value. Each cap is a
 ``ParseError`` at the offending token, before anything is evaluated.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polybernoulli import polylog_series
+from .polybernoulli import MAX_ABS_K, polylog_series
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -300,7 +301,10 @@ class _Parser:
         name = tok.text
         self.expect("(", "'('")
         if name == "Li":
+            column = self.peek().column
             order = self.signed_int_literal("Li order must be an integer literal")
+            if abs(order) > MAX_ABS_K:
+                raise ParseError(f"Li order larger than {MAX_ABS_K} in absolute value", column)
             self.expect(",", "','")
             arg = self.expr()
             self.expect(")", "')'")

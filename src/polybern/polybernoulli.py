@@ -29,12 +29,21 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
 from .bernoulli import (
+    bernoulli2nd_int_row,
     bernoulli2nd_poly,
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
 from .combinatorics import binomial, stirling1, stirling2, stirling2_row, to_monomial_basis
-from .polynomial import Polynomial, X, common_denominator, interpolate, normalize_point
+from .polynomial import (
+    Polynomial,
+    X,
+    appended,
+    common_denominator,
+    homogeneous_horner,
+    interpolate,
+    normalize_point,
+)
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -48,10 +57,25 @@ Scalar = Union[int, Fraction]
 Value = Union[Fraction, Polynomial]
 
 
-def _check_k(k: int) -> int:
+#: The largest |k| of a polylog order. For |k| >= N the weights m^(-k),
+#: m <= N, have |k| log2(N) bits, so |k| bounds the size of exact values.
+MAX_ABS_K = 20_000
+
+
+def check_k(k: int) -> int:
+    """``k`` itself if it is an ``int`` of at most ``MAX_ABS_K`` in absolute
+    value; else ``TypeError`` or ``ValueError``."""
     if not isinstance(k, int):
         raise TypeError(f"k must be an int, not {type(k).__name__}")
+    if abs(k) > MAX_ABS_K:
+        raise ValueError(f"|k| must be at most {MAX_ABS_K}, not {abs(k)}")
     return k
+
+
+# The polylog ladder of the last inner series f: (f, D, Li_0(f), up, down),
+# where up and down are the furthest rungs (k, Li_k(f)) reached with k >= 0
+# and k <= 0.
+_ladder: tuple | None = None
 
 
 def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
@@ -64,27 +88,45 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
         Li_0(f) = f / (1 - f),
         theta Li_{j+1}(f) = Li_j(f) * D,    Li_{j-1}(f) = theta Li_j(f) / D,
 
-    |k| + 2 series products or quotients in all (Brent and Kung, J. ACM
-    1978). D = theta(f) / f is known only to order N - v, but Li_j(f) has
-    valuation v and D is a unit, so neither step reads D beyond that and
-    zeros pad it back to order N. For |k| >= N, Horner's rule on the N
-    terms costs fewer products and is used instead.
+    one series product or quotient per rung (Brent and Kung, J. ACM 1978).
+    D = theta(f) / f is known only to order N - v, but Li_j(f) has valuation
+    v and D is a unit, so neither step reads D beyond that and zeros pad it
+    back to order N. For |k| >= N, Horner's rule on the N terms costs fewer
+    products and is used instead.
+
+    The ladder of the last f (compared by value) is kept: D, Li_0 and the
+    furthest rung reached each way. A request at or past a rung resumes
+    from it, any other starts from Li_0, so k = 0, ±1, ±2, ... in turn cost
+    one step each. A racing thread can lose a rung, never a value.
     """
+    global _ladder
     n = inner.order
     if abs(k) >= n:
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
         return TruncatedSeries.from_coeffs(weights, n).compose(inner)
-    inner._require_no_constant_term()
-    v = inner.valuation()
-    if v is None:
-        return inner
-    d = inner.theta().div_valuation(inner, v)
-    d = TruncatedSeries(d.coeffs + (Fraction(0),) * v)
-    li = inner.div_unit(constant_series(Fraction(1), n) - inner)
-    for _ in range(k):
+    if _ladder is not None and _ladder[0].coeffs == inner.coeffs:
+        _, d, li0, up, down = _ladder
+    else:
+        inner._require_no_constant_term()
+        v = inner.valuation()
+        if v is None:
+            return inner
+        d = inner.theta().div_valuation(inner, v)
+        d = TruncatedSeries(d.coeffs + (Fraction(0),) * v)
+        li0 = inner.div_unit(constant_series(Fraction(1), n) - inner)
+        up = down = (0, li0)
+    rung, li = up if k >= 0 else down
+    if abs(k) < abs(rung):
+        rung, li = 0, li0
+    for _ in range(rung, k):
         li = (li * d).theta_inverse()
-    for _ in range(-k):
+    for _ in range(k, rung):
         li = li.theta().div_unit(d)
+    if k > up[0]:
+        up = (k, li)
+    elif k < down[0]:
+        down = (k, li)
+    _ladder = (inner, d, li0, up, down)
     return li
 
 
@@ -106,7 +148,7 @@ def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Va
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    quotient = _gf_values(n_max, _check_k(k))
+    quotient = _gf_values(n_max, check_k(k))
     x = normalize_point(x)
     if not isinstance(x, Polynomial):
         return pow1p_row(quotient, x)
@@ -142,16 +184,54 @@ def _li_coeff(n: int, k: int) -> Fraction:
     return Fraction(total, den)
 
 
+# -- closed sums -------------------------------------------------------------
+# Theorems 1-3 are sum_l C(n, l) w_l b_{n-l}(x) and differ only in their
+# weights w_l, which depend on n and k alone: B_l/(l+1) (Theorem 1, k = 2),
+# a_{l+1}^(k)/(l+1) (Theorem 2) and a_l^(k) (Theorem 3, where a_0^(k) = 0
+# turns the sum over p = 1..n into a convolution from 0).
+
+_WEIGHT_TERMS: dict[str, Callable[[int | None, int, int], list[Fraction]]] = {
+    "thm1": lambda k, lo, hi: [b / (l + 1) for l, b in enumerate(bernoulli_numbers(hi)[lo:], lo)],
+    "thm2": lambda k, lo, hi: [_li_coeff(l + 1, k) / (l + 1) for l in range(lo, hi + 1)],
+    "thm3": lambda k, lo, hi: [_li_coeff(l, k) for l in range(lo, hi + 1)],
+}
+_WEIGHTS: dict[tuple[str, int | None], tuple[tuple[int, ...], int]] = {}
+
+
+def _weights(family: str, k: int | None, n: int) -> tuple[tuple[int, ...], int]:
+    """At least w_0..w_n of a closed sum's weights, as ints over one common
+    denominator: a grow-only prefix per (family, k), replaced whole when it
+    grows, so a reader never sees it half-built."""
+    row = _WEIGHTS.get((family, k), ((), 1))
+    if len(row[0]) <= n:
+        row = appended(row, _WEIGHT_TERMS[family](k, len(row[0]), n))
+        _WEIGHTS[family, k] = row
+    return row
+
+
+def _b2nd_row(n: int, x: Fraction) -> tuple[list[int], int]:
+    """b_0(x)..b_n(x) at a rational x as ints over one common denominator,
+    each by the homogeneous Horner rule on ``bernoulli2nd_int_row``: the
+    S1 basis change, not the gf's own x-shift ``pow1p_row``."""
+    a, c = x.numerator, x.denominator
+    rows = [bernoulli2nd_int_row(m) for m in range(n + 1)]
+    den = math.lcm(*[d for _, d in rows])
+    # b_m(a/c) = H_m / (d_m c^m), so over den c^n its numerator is
+    # H_m (den / d_m) c^(n-m).
+    return [
+        homogeneous_horner(nums, a, c) * (den // d) * c ** (n - m)
+        for m, (nums, d) in enumerate(rows)
+    ], den * c**n
+
+
 @lru_cache(maxsize=None)
-def _convolution(weights: tuple[Fraction, ...]) -> Polynomial:
-    """sum_l C(n, l) w_l b_{n-l}(X), n = len(weights) - 1: the closed sum of
-    Theorems 1-3, which differ only in their weights w_l.
+def _convolution(family: str, n: int, k: int | None) -> Polynomial:
+    """The closed sum of ``family`` as a polynomial in x, for a symbolic point.
 
     The weights and each b_m(X) go over their common denominators, and the
     b_m over the lcm of theirs, so every coefficient is one int sum."""
-    n = len(weights) - 1
-    w, w_den = common_denominator(weights)
-    polys = {l: common_denominator(bernoulli2nd_poly(n - l).coeffs) for l in range(n + 1) if w[l]}
+    w, w_den = _weights(family, k, n)
+    polys = {l: bernoulli2nd_int_row(n - l) for l in range(n + 1) if w[l]}
     b_den = math.lcm(*[den for _, den in polys.values()])  # a list, as in common_denominator
     out = [0] * (n + 1)
     for l, (coeffs, den) in polys.items():
@@ -161,12 +241,24 @@ def _convolution(weights: tuple[Fraction, ...]) -> Polynomial:
     return Polynomial(tuple(Fraction(c, w_den * b_den) for c in out))
 
 
+def _closed_form(family: str, n: int, k: int | None, x: Scalar | Polynomial, row=None) -> Value:
+    """The closed sum of ``family`` at x. At a rational x it is one int sum
+    over x's value row b_m(x) = nums[m] / den (``_b2nd_row``, at least n + 1
+    entries), built here unless the caller passes it as ``row``."""
+    x = normalize_point(x)
+    if isinstance(x, Polynomial):
+        return _convolution(family, n, k)(x)
+    w, w_den = _weights(family, k, n)
+    nums, den = row or _b2nd_row(n, x)
+    total = sum(math.comb(n, l) * w[l] * nums[n - l] for l in range(n + 1) if w[l])
+    return Fraction(total, w_den * den)
+
+
 def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
     """The k = 2 closed sum: sum_l C(n, l) B_l b_{n-l}(x) / (l+1)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    weights = tuple(b / (l + 1) for l, b in enumerate(bernoulli_numbers(n)))
-    return _convolution(weights)(x)
+    return _closed_form("thm1", n, None, x)
 
 
 def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
@@ -174,9 +266,7 @@ def poly_b2nd_theorem2(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     to b_{n-l}(x)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    _check_k(k)
-    weights = tuple(_li_coeff(l + 1, k) / (l + 1) for l in range(n + 1))
-    return _convolution(weights)(x)
+    return _closed_form("thm2", n, check_k(k), x)
 
 
 def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
@@ -187,9 +277,7 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     """
     if n < 1:
         raise ValueError("thm3 requires n >= 1")
-    _check_k(k)
-    # a_0^(k) = 0, so the sum over p = 1..n is the convolution from p = 0.
-    return _convolution(tuple(_li_coeff(p, k) for p in range(n + 1)))(x)
+    return _closed_form("thm3", n, check_k(k), x)
 
 
 def _addition_sum(row: tuple[list[int], int], n: int, y: Fraction) -> Fraction:
@@ -278,30 +366,46 @@ def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
     return tuple(numeric + symbolic)
 
 
+def _value_rows(n_max: int, xs) -> dict[Fraction, tuple[list[int], int]]:
+    """The value row b_0(x)..b_{n_max}(x) of each rational x, built once for
+    every closed sum a checker takes there."""
+    return {x: _b2nd_row(n_max, x) for x in xs if not isinstance(x, Polynomial)}
+
+
+def _by_abs(ks):
+    """ks in order of increasing |k|, so the polylog ladder climbs one rung
+    per k (see ``polylog_series``)."""
+    return sorted(ks, key=abs)
+
+
 def _check_thm1(n_max, ks, xs):
     rows = {x: poly_b2nd_values(n_max, 2, x) for x in xs}
+    b_rows = _value_rows(n_max, xs)
     for n in range(n_max + 1):
         for x in xs:
-            yield {"n": n, "x": _point_label(x)}, poly_b2nd_theorem1(n, x), rows[x][n]
+            lhs = _closed_form("thm1", n, None, x, b_rows.get(x))
+            yield {"n": n, "x": _point_label(x)}, lhs, rows[x][n]
 
 
 def _check_thm2(n_max, ks, xs):
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in xs}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in xs}
+    b_rows = _value_rows(n_max, xs)
     for n in range(n_max + 1):
         for k in ks:
             for x in xs:
-                lhs = poly_b2nd_theorem2(n, k, x)
+                lhs = _closed_form("thm2", n, k, x, b_rows.get(x))
                 yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rows[k, x][n]
 
 
 def _check_thm3(n_max, ks, xs):
     points = set(xs) | {x + 1 for x in xs}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in points}
+    b_rows = _value_rows(n_max, xs)
     for n in range(1, n_max + 1):
         for k in ks:
             for x in xs:
                 lhs = rows[k, x + 1][n] - rows[k, x][n]
-                rhs = theorem3_rhs(n, k, x)
+                rhs = _closed_form("thm3", n, k, x, b_rows.get(x))
                 yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rhs
 
 
@@ -310,7 +414,7 @@ def _check_thm4(n_max, ks, xs):
     # two-variable polynomial identity (degree <= n in each variable).
     # x = i/3 and x + y = i/3 + j/5; j = 0 gives the x points themselves.
     points = {Fraction(i, 3) + Fraction(j, 5) for i in range(n_max + 1) for j in range(n_max + 1)}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in points}
     # Each x row goes over its common denominator once, not once per (n, y).
     scaled = {
         (k, i): common_denominator(rows[k, Fraction(i, 3)]) for k in ks for i in range(n_max + 1)
@@ -463,7 +567,7 @@ def verify_identity(
     if xs is not None and spec.xs is None:
         raise ValueError(f"identity {name!r} does not take x points")
     if spec.ks is not None:
-        ks = tuple(sorted(_check_k(k) for k in (spec.ks if ks is None else ks)))
+        ks = tuple(sorted(check_k(k) for k in (spec.ks if ks is None else ks)))
     if spec.xs is not None:
         xs = _sorted_points(normalize_point(x) for x in (spec.xs if xs is None else xs))
     spec = replace(spec, ks=ks, xs=xs)

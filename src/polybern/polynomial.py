@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -159,11 +159,7 @@ class Polynomial:
             return Fraction(0)
         nums, den = common_denominator(self.coeffs)
         a, b = point.numerator, point.denominator
-        acc, scale = nums[-1], 1  # scale = b^(steps taken)
-        for c in reversed(nums[:-1]):
-            scale *= b
-            acc = acc * a + c * scale
-        return Fraction(acc, den * scale)
+        return Fraction(homogeneous_horner(nums, a, b), den * b ** (len(nums) - 1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -221,6 +217,29 @@ def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
     # the interpreter's tuple free lists (half a megabyte in one ``verify``).
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def appended(
+    row: tuple[tuple[int, ...], int], values: Iterable[Scalar]
+) -> tuple[tuple[int, ...], int]:
+    """``row`` = (nums, L), values nums[i] / L, with ``values`` appended and
+    every numerator rescaled to the new least common denominator."""
+    nums, den = row
+    values = list(values)
+    new = math.lcm(den, *[v.denominator for v in values])
+    if new != den:
+        nums = tuple(c * (new // den) for c in nums)
+    return nums + tuple(v.numerator * (new // v.denominator) for v in values), new
+
+
+def homogeneous_horner(nums: Sequence[int], a: int, b: int) -> int:
+    """sum_i nums[i] a^i b^(d-i), d = len(nums) - 1: b^d p(a/b) for the
+    polynomial p with coefficients ``nums``, by Horner's rule in ints."""
+    acc, scale = nums[-1], 1  # scale = b^(steps taken)
+    for c in reversed(nums[:-1]):
+        scale *= b
+        acc = acc * a + c * scale
+    return acc
 
 
 def interpolate(points: Iterable[Scalar], values: Iterable[Scalar]) -> Polynomial:

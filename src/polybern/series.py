@@ -18,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+from .polynomial import common_denominator
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,12 @@ class TruncatedSeries:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
         return math.factorial(n) * self.coeffs[n]
 
+    @cached_property
+    def _egf_ints(self) -> tuple[list[int], int]:
+        """The egf coefficients n! c_n as ints over their least common
+        denominator, computed once per series (see ``pow1p_row``)."""
+        return common_denominator([self.egf_coefficient(n) for n in range(self.order + 1)])
+
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
         for i, c in enumerate(self.coeffs):
@@ -309,6 +318,32 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
 def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
     """The egf coefficients of series * (1+t)^x at a rational x: the values
     at x of a family whose generating function depends on x only through
-    the factor (1+t)^x. One series product."""
-    product = series * pow1p_series(x, series.order)
-    return tuple(product.egf_coefficient(n) for n in range(series.order + 1))
+    the factor (1+t)^x.
+
+    With q_m = Q_m / L the series' egf coefficients over their common
+    denominator (once per series) and x = a/c, (x)_j c^j = prod_{i<j} (a - i c),
+    so b_n = sum_j C(n, j) q_{n-j} (x)_j is the int sum
+    sum_j C(n, j) Q_{n-j} c^(n-j) prod_{i<j} (a - i c) over L c^n, reduced once.
+    The products stop at the first zero factor: at an integer x >= 0 only
+    j <= x contribute.
+    """
+    x = Fraction(x)
+    a, c = x.numerator, x.denominator
+    nums, den = series._egf_ints
+    falling = [1]  # falling[j] = (x)_j c^j, up to the first zero
+    for i in range(series.order):
+        nxt = falling[-1] * (a - i * c)
+        if not nxt:
+            break
+        falling.append(nxt)
+    scaled, power = [], 1  # scaled[m] = Q_m c^m
+    for q in nums:
+        scaled.append(q * power)
+        power *= c
+    out, scale = [], den  # scale = L c^n
+    for n in range(len(nums)):
+        top = min(n, len(falling) - 1)
+        total = sum(math.comb(n, j) * falling[j] * scaled[n - j] for j in range(top + 1))
+        out.append(Fraction(total, scale))
+        scale *= c
+    return tuple(out)

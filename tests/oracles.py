@@ -121,6 +121,21 @@ def addition_sum(row: list[Fraction], n: int, y: Fraction) -> Fraction:
     return total
 
 
+def pow1p_row(coeffs: list[Fraction], x: Fraction) -> list[Fraction]:
+    """The egf coefficients of sum_j coeffs[j] t^j times (1+t)^x: one series
+    product with the raw coefficients (x)_j / j! of (1+t)^x."""
+    order = len(coeffs) - 1
+    shift = [Fraction(1)]
+    for j in range(1, order + 1):
+        shift.append(shift[-1] * (x - (j - 1)) / j)
+    product = naive_mul(coeffs, shift, order)
+    fact, out = 1, []
+    for n, c in enumerate(product):
+        fact *= n or 1
+        out.append(fact * c)
+    return out
+
+
 def stirling2_explicit(n: int, m: int) -> int:
     """S2(n, m) = (1/m!) sum_j (-1)^j C(m, j) (m - j)^n, no recurrence."""
     row = pascal_row(m)

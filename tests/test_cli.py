@@ -322,13 +322,43 @@ def test_eval_too_deep_exits_one(capsys, expr):
         ("2^3000000", "error: column 3: exponent larger than 1000"),
         ("1 + " + "7" * 101, "error: column 5: integer literal longer than 100 digits"),
         ("(2^40)^40", "error: column 8: nested exponents multiply to more than 1000"),
+        ("Li(100000000, t)", "error: column 4: Li order larger than 20000 in absolute value"),
     ],
-    ids=["exponent", "literal", "power-of-power"],
+    ids=["exponent", "literal", "power-of-power", "li-order"],
 )
 def test_eval_over_a_cap_exits_one(capsys, expr, message):
     code, out, err = run_cli(capsys, "eval", "--expr", expr, "--order", "0")
     assert code == 1 and not out
     assert err.strip().splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "argv, too_big",
+    [
+        (("table", "--kind", "poly2nd", "-k", "20001", "-n", "2"), 20001),
+        (("table", "--kind", "poly2nd", "-k", "-100000000", "-n", "2"), 100000000),
+        (("verify", "--identity", "thm2", "--n-max", "2", "--k", "20001"), 20001),
+        (("verify", "--identity", "thm2", "--n-max", "2", "--k", "-5..99999999999"), 99999999999),
+        (("verify", "--identity", "thm3", "--n-max", "2", "--k", "-20001..0"), 20001),
+    ],
+    ids=["table", "table-huge", "verify", "verify-range-top", "verify-range-bottom"],
+)
+def test_k_over_the_cap_exits_two(capsys, argv, too_big):
+    assert polybernoulli.MAX_ABS_K == 20000
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"error: |k| must be at most 20000, not {too_big}")
+
+
+def test_k_at_the_cap_runs(capsys):
+    code, out, err = run_cli(capsys, "table", "--kind", "poly2nd", "-k", "20000", "-n", "1")
+    assert code == 0 and not err
+    # b_1^(k) = 2^(-k), 6,021 digits; Decimal spells it out without the
+    # int/str limit.
+    expected = format(decimal.Context(prec=7000).power(2, 20000), "f")
+    assert out.splitlines() == ["n,value", "0,1", f"1,1/{expected}"]
 
 
 def test_eval_prints_values_past_the_int_str_digit_limit(capsys):

@@ -20,6 +20,7 @@ from polybern.expr import (
     eval_expr,
     parse_expr,
 )
+from polybern.polybernoulli import MAX_ABS_K
 from polybern.series import constant_series, t_series
 
 
@@ -163,6 +164,18 @@ def test_exponent_cap():
     with pytest.raises(ParseError, match="exponent larger") as exc:
         parse_expr("(1+t)^3000000")
     assert exc.value.column == 7
+
+
+def test_li_order_cap():
+    assert parse_expr(f"Li(-{MAX_ABS_K}, t)") == Call("Li", (-MAX_ABS_K, Var()))
+    for text, column in [
+        (f"Li({MAX_ABS_K + 1}, t)", 4),
+        ("Li(100000000, t)", 4),
+        (f"1 + Li(-{MAX_ABS_K + 1}, t)", 8),
+    ]:
+        with pytest.raises(ParseError, match=f"Li order larger than {MAX_ABS_K}") as exc:
+            parse_expr(text)
+        assert exc.value.column == column, text
 
 
 def test_nested_exponents_multiply_under_the_cap():

@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
-from polybern import bernoulli, combinatorics, polybernoulli
+from polybern import bernoulli, combinatorics, polybernoulli, series
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
@@ -97,6 +98,67 @@ def test_polylog_ode_matches_horner_composition(inner, k):
     weights = [F(0)] + [F(m) ** -k for m in range(1, n + 1)]
     horner = TruncatedSeries.from_coeffs(weights, n).compose(inner)
     assert polylog_series(k, inner) == horner
+
+
+def horner_polylog(k, inner):
+    n = inner.order
+    weights = [F(0)] + [F(m) ** -k for m in range(1, n + 1)]
+    return TruncatedSeries.from_coeffs(weights, n).compose(inner)
+
+
+@settings(max_examples=30)
+@given(inner_series(), st.randoms(use_true_random=False))
+def test_polylog_ladder_in_any_order_matches_the_defining_sum(inner, rng):
+    # Each request resumes from a rung of the kept ladder or starts over
+    # from Li_0; in whatever order the k come, the result is sum f^m / m^k.
+    # The powers f^m are shared by every k, so this costs about one Horner
+    # composition (which test_polylog_ode_matches_horner_composition uses).
+    n = inner.order
+    powers = [list(inner.coeffs)]
+    for _ in range(n - 1):
+        powers.append(oracles.naive_mul(powers[-1], list(inner.coeffs), n))
+    ks = list(range(-6, 7))
+    rng.shuffle(ks)
+    polybernoulli._ladder = None
+    for k in ks:
+        expected = [sum(F(m) ** -k * p[i] for m, p in enumerate(powers, 1)) for i in range(n + 1)]
+        assert list(polylog_series(k, inner).coeffs) == expected, k
+
+
+def test_verify_thm2_climbs_each_rung_once(monkeypatch):
+    # k = 1..5 are one theta_inverse step each from the rung below; without
+    # the kept ladder, k costs k steps, 15 in all.
+    steps = []
+    original = TruncatedSeries.theta_inverse
+
+    def counted(self):
+        steps.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "theta_inverse", counted)
+    monkeypatch.setattr(polybernoulli, "_ladder", None)
+    polybernoulli._gf_values.cache_clear()
+    assert verify_identity("thm2", 6).passed
+    assert steps == [7] * 5
+
+
+def test_the_ladder_keeps_one_rung_per_direction(monkeypatch):
+    monkeypatch.setattr(polybernoulli, "_ladder", None)
+    f = one_minus_exp_neg(40)
+    up = polylog_series(3, f)
+    down = polylog_series(-30, f)
+    # The key f, then D, Li_0 and one rung (k, Li_k) per direction.
+    key, d, li0, (k_up, li_up), (k_down, li_down) = polybernoulli._ladder
+    assert key == f and (k_up, li_up) == (3, up) and (k_down, li_down) == (-30, down)
+    assert li0 == polylog_series(0, f) and d.order == 40
+    # A request below a rung starts from Li_0 and leaves the rungs alone.
+    ladder = polybernoulli._ladder
+    assert polylog_series(-2, f) == horner_polylog(-2, f)
+    assert polybernoulli._ladder[3:] == ladder[3:]
+    # A new inner series replaces the whole ladder.
+    polylog_series(1, t_series(40))
+    assert polybernoulli._ladder[0] == t_series(40)
+    assert polybernoulli._ladder[4][0] == 0
 
 
 # -- generating-function route ----------------------------------------------
@@ -243,6 +305,64 @@ def test_theorem4_takes_rational_points_only():
     for x, y in ((X, F(1)), (F(1), X), (X + 1, X)):
         with pytest.raises(TypeError, match="rational"):
             theorem4_rhs(2, 1, x, y)
+
+
+def rising_pow1p_row(series_, x):
+    """pow1p_row with the rising factorial x (x+1) ... (x+j-1) in place of
+    (x)_j: the egf coefficients of series * (1-t)^(-x), a wrong x-shift."""
+    order = series_.order
+    shift = [F(1)]
+    for j in range(1, order + 1):
+        shift.append(shift[-1] * (x + j - 1) / j)
+    product = oracles.naive_mul(list(series_.coeffs), shift, order)
+    return tuple(math.factorial(n) * c for n, c in enumerate(product))
+
+
+def test_thm4_catches_a_wrong_x_shift(monkeypatch):
+    # thm4 compares the gf's x-shift (pow1p_row) with its own falling
+    # factorials (_addition_sum); the two share no code, so a wrong shift in
+    # one of them fails the identity.
+    monkeypatch.setattr(polybernoulli, "pow1p_row", rising_pow1p_row)
+    report = verify_identity("thm4", 6)
+    assert report.total == 840
+    assert len(report.failures) > 600
+
+
+def test_closed_sums_at_a_rational_point_use_no_gf_x_shift(monkeypatch):
+    cases = [(n, k, x) for n in range(1, 9) for k in (-2, 2, 3) for x in (F(0), F(3), F(-10, 7))]
+    expected = {
+        (n, k, x): (
+            poly_b2nd_values(n, 2, x)[n],
+            poly_b2nd_values(n, k, x)[n],
+            poly_b2nd_values(n, k, x + 1)[n] - poly_b2nd_values(n, k, x)[n],
+        )
+        for n, k, x in cases
+    }
+
+    def forbidden(*args):
+        raise AssertionError("a closed sum reached the gf's x-shift")
+
+    for module in (series, bernoulli, polybernoulli):
+        monkeypatch.setattr(module, "pow1p_row", forbidden, raising=False)
+    monkeypatch.setattr(bernoulli, "bernoulli2nd_values", forbidden)
+    for n, k, x in cases:
+        got = (poly_b2nd_theorem1(n, x), poly_b2nd_theorem2(n, k, x), theorem3_rhs(n, k, x))
+        assert got == expected[n, k, x], (n, k, x)
+
+
+def test_weights_are_a_grow_only_prefix():
+    def values(family, k, n):
+        nums, den = polybernoulli._weights(family, k, n)
+        return [F(c, den) for c in nums[: n + 1]]
+
+    for family, k in (("thm1", None), ("thm2", 3), ("thm2", -2), ("thm3", 4)):
+        short = values(family, k, 5)
+        long = values(family, k, 30)
+        assert long[:6] == short
+    assert values("thm2", 3, 12) == [polybernoulli._li_coeff(l + 1, 3) / (l + 1) for l in range(13)]
+    assert values("thm3", -1, 12) == [polybernoulli._li_coeff(p, -1) for p in range(13)]
+    b = bernoulli.bernoulli_numbers(12)
+    assert values("thm1", None, 12) == [b[l] / (l + 1) for l in range(13)]
 
 
 @given(

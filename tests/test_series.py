@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import naive_div, naive_mul, one_minus_exp_neg_coeffs
 from polybern.polynomial import Polynomial, X
 from polybern.series import (
@@ -12,6 +13,7 @@ from polybern.series import (
     constant_series,
     exp_series,
     log1p_series,
+    pow1p_row,
     pow1p_series,
     t_series,
 )
@@ -287,6 +289,32 @@ def test_compose_inverse_pairs_through_order_20():
 def test_pow1p_product_law(a, b):
     n = 15
     assert pow1p_series(a, n) * pow1p_series(b, n) == pow1p_series(a + b, n)
+
+
+# x = 0, a positive integer (where (x)_j vanishes past j = x), a negative
+# integer, or a non-integer rational of either sign.
+shift_points = st.one_of(
+    st.just(F(0)),
+    st.integers(1, 25).map(F),
+    st.integers(-25, -1).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=40),
+)
+
+
+@given(series_strategy(max_order=24), shift_points)
+def test_pow1p_row_matches_the_series_product(s, x):
+    row = pow1p_row(s, x)
+    assert all(type(v) is F for v in row)
+    assert list(row) == oracles.pow1p_row(list(s.coeffs), x)
+
+
+def test_pow1p_row_edge_points():
+    s = t_over_log1p(12)
+    for x in (F(0), F(1), F(3), F(12), F(13), F(-1), F(-10, 7), F(9, 5)):
+        assert list(pow1p_row(s, x)) == oracles.pow1p_row(list(s.coeffs), x)
+    # At x = 0 the row is the series' own egf coefficients.
+    assert pow1p_row(s, 0) == tuple(s.egf_coefficient(n) for n in range(13))
+    assert pow1p_row(constant_series(F(0), 3), F(1, 2)) == (0, 0, 0, 0)
 
 
 @given(series_strategy(max_order=10))
