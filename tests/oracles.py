@@ -20,7 +20,8 @@ def naive_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
 
 
 def naive_div(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:
-    """Forward-substitution quotient; den[0] must be nonzero."""
+    """Forward-substitution quotient, one Fraction per term; den[0] must be
+    nonzero."""
     assert den[0] != 0
     q: list[Fraction] = []
     for j in range(order + 1):
@@ -29,6 +30,37 @@ def naive_div(num: list[Fraction], den: list[Fraction], order: int) -> list[Frac
             acc -= q[i] * den[j - i]
         q.append(acc / den[0])
     return q
+
+
+def naive_theta_inverse(f: list[Fraction]) -> list[Fraction]:
+    """c_n -> c_n / n for a list with zero constant term."""
+    assert f[0] == 0
+    return [Fraction(0)] + [c / n for n, c in enumerate(f[1:], 1)]
+
+
+def naive_exp(f: list[Fraction], order: int) -> list[Fraction]:
+    """exp(f) for f_0 = 0 by n g_n = sum_{i=1}^{n} i f_i g_{n-i}, term by term."""
+    assert f[0] == 0
+    g = [Fraction(1)]
+    for n in range(1, order + 1):
+        g.append(sum((i * f[i] * g[n - i] for i in range(1, n + 1)), Fraction(0)) / n)
+    return g
+
+
+def naive_log1p(f: list[Fraction], order: int) -> list[Fraction]:
+    """log(1 + f) for f_0 = 0: the integral of f' / (1 + f), term by term."""
+    assert f[0] == 0
+    theta = [n * c for n, c in enumerate(f[: order + 1])]
+    one_plus = [Fraction(1) + f[0]] + list(f[1 : order + 1])
+    return naive_theta_inverse(naive_div(theta, one_plus, order))
+
+
+def naive_pow(f: list[Fraction], a: int, order: int) -> list[Fraction]:
+    """f^a by repeated naive products."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(a):
+        out = naive_mul(out, f, order)
+    return out
 
 
 def naive_polylog(k: int, inner: list[Fraction], order: int) -> list[Fraction]:

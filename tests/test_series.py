@@ -367,3 +367,101 @@ def test_miller_power_matches_repeated_multiplication(f, a):
     for _ in range(a):
         expected = naive_mul(expected, list(f.coeffs), n)
     assert list((f ** a).coeffs) == expected
+
+
+# -- the integer kernel against raw-Fraction oracles --------------------------
+# Coefficients include zeros, large denominators and negative values, and
+# constant terms other than 1; orders start at 0.
+
+big_fractions = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**40))
+kernel_coeffs = st.one_of(st.just(F(0)), small_fractions, big_fractions)
+units = st.one_of(
+    st.sampled_from([F(1), F(-1), F(-3), F(2, 7)]),
+    nonzero_fractions,
+    big_fractions.filter(lambda c: c != 0),
+)
+
+
+def kernel_series(order, constant=kernel_coeffs, valuation=0):
+    """Coefficient lists of the given order, zeros below ``valuation`` and
+    a coefficient from ``constant`` at it."""
+    if valuation > order:
+        return st.just([F(0)] * (order + 1))
+    rest = st.lists(kernel_coeffs, min_size=order - valuation, max_size=order - valuation)
+    return st.tuples(constant, rest).map(lambda p: [F(0)] * valuation + [p[0]] + p[1])
+
+
+orders = st.integers(min_value=0, max_value=16)
+
+
+@given(orders.flatmap(lambda n: st.tuples(kernel_series(n), kernel_series(n))))
+def test_kernel_mul_matches_naive_mul(ab):
+    a, b = ab
+    order = len(a) - 1
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == naive_mul(a, b, order)
+
+
+@given(orders.flatmap(lambda n: st.tuples(kernel_series(n), kernel_series(n, units))))
+def test_kernel_div_unit_matches_forward_substitution(pair):
+    num, den = pair
+    order = len(num) - 1
+    q = TruncatedSeries(num).div_unit(TruncatedSeries(den))
+    assert list(q.coeffs) == naive_div(num, den, order)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda v: st.integers(v, 16).flatmap(
+            lambda n: st.tuples(
+                st.just(v), kernel_series(n, valuation=v), kernel_series(n, units, valuation=v)
+            )
+        )
+    )
+)
+def test_kernel_div_valuation_matches_forward_substitution(case):
+    v, num, den = case
+    order = len(num) - 1 - v
+    q = TruncatedSeries(num).div_valuation(TruncatedSeries(den), v)
+    assert list(q.coeffs) == naive_div(num[v:], den[v:], order)
+
+
+valuations = st.integers(min_value=1, max_value=3)
+
+
+def valued_lists():
+    """Coefficient lists with valuation 1..3 (or all zero), of order 0..16."""
+    return st.tuples(valuations, orders).flatmap(
+        lambda vn: kernel_series(vn[1], kernel_coeffs.filter(lambda c: c != 0), vn[0])
+    )
+
+
+@given(valued_lists())
+def test_kernel_theta_inverse_exp_and_log1p_match_the_naive_loops(f):
+    order = len(f) - 1
+    s = TruncatedSeries(f)
+    assert list(s.theta_inverse().coeffs) == oracles.naive_theta_inverse(f)
+    assert list(s.exp().coeffs) == oracles.naive_exp(f, order)
+    assert list(s.log1p().coeffs) == oracles.naive_log1p(f, order)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda v: orders.flatmap(lambda n: kernel_series(n, units, min(v, n)))
+    ),
+    st.integers(min_value=0, max_value=5),
+)
+def test_kernel_pow_matches_repeated_naive_mul(f, a):
+    order = len(f) - 1
+    assert list((TruncatedSeries(f) ** a).coeffs) == oracles.naive_pow(f, a, order)
+
+
+@given(orders.flatmap(lambda n: st.tuples(kernel_series(n), kernel_series(n))), kernel_coeffs)
+def test_kernel_linear_operations_match_the_lists(ab, c):
+    a, b = ab
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    assert list((sa + sb).coeffs) == [x + y for x, y in zip(a, b)]
+    assert list((sa - sb).coeffs) == [x - y for x, y in zip(a, b)]
+    assert list((-sa).coeffs) == [-x for x in a]
+    assert list((c * sa).coeffs) == list((sa * c).coeffs) == [c * x for x in a]
+    assert list(sa.theta().coeffs) == [n * x for n, x in enumerate(a)]
