@@ -16,73 +16,48 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .combinatorics import binomial, extend, to_monomial_basis
-from .polynomial import Polynomial, X, appended, common_denominator, normalize_point
-from .series import TruncatedSeries, pow1p_row
+from .polynomial import Polynomial, X, common_denominator, normalize_point
+from .series import TruncatedSeries, pow1p_row, reciprocal_step
 
 Scalar = Union[int, Fraction]
 
 
-def _reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list[Fraction]], Fraction]:
-    """The ``extend`` step of the coefficients q of 1/D(t), D_0 = 1 and
-    D_m = d(m): q_n = -sum_{j<n} q_j D_{n-j}.
-
-    The closure keeps D's coefficients and the prefix q as ints over one
-    common denominator each, grown one term at a time, so the sum runs in
-    ints, skips the zero q_j and reduces once. Each mirror is replaced whole,
-    so an interrupted step leaves both consistent.
-    """
-    q_int: tuple[tuple[int, ...], int] = ((), 1)
-    d_int: tuple[tuple[int, ...], int] = ((1,), 1)
-
-    def step(q: list[Fraction]) -> Fraction:
-        nonlocal q_int, d_int
-        n = len(q)
-        if len(d_int[0]) == n:  # not yet appended by a step that was interrupted
-            d_int = appended(d_int, [d(n)])
-        while len(q_int[0]) < n:
-            q_int = appended(q_int, [q[len(q_int[0])]])
-        (qs, q_den), (ds, d_den) = q_int, d_int
-        return Fraction(-sum(c * ds[n - j] for j, c in enumerate(qs) if c), q_den * d_den)
-
-    return step
-
-
-# Grow-only prefixes of the t^n coefficients of t/(e^t - 1) (B_n / n!) and of
-# t/log(1+t) (G_n), the reciprocals of (e^t - 1)/t and log(1+t)/t.
-_BERNOULLI_RAW = [Fraction(1)]
-_next_bernoulli_raw = _reciprocal_step(lambda m: Fraction(1, math.factorial(m + 1)))
-_GREGORY = [Fraction(1)]
-_next_gregory = _reciprocal_step(lambda m: Fraction((-1) ** m, m + 1))
+# Grow-only prefixes of the egf coefficients of t/(e^t - 1) (B_n) and of
+# t/log(1+t) (b_n), the reciprocals of (e^t - 1)/t and log(1+t)/t, whose egf
+# coefficients are 1/(m+1) and (-1)^m m!/(m+1).
+_BERNOULLI = [Fraction(1)]
+_next_bernoulli = reciprocal_step(lambda m: Fraction(1, m + 1))
+_BERNOULLI2ND = [Fraction(1)]
+_next_bernoulli2nd = reciprocal_step(lambda m: Fraction((-1) ** m * math.factorial(m), m + 1))
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_{n_max}: n! times the t^n coefficients of t/(e^t - 1)."""
+    """B_0..B_{n_max}: the egf coefficients of t/(e^t - 1)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    raw = extend(_BERNOULLI_RAW, n_max, _next_bernoulli_raw)
-    return [math.factorial(n) * raw[n] for n in range(n_max + 1)]
+    return extend(_BERNOULLI, n_max, _next_bernoulli)[: n_max + 1]
 
 
 def gregory_coefficients(n_max: int) -> list[Fraction]:
-    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return extend(_GREGORY, n_max, _next_gregory)[: n_max + 1]
+    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t): b_n / n!."""
+    return [b / math.factorial(n) for n, b in enumerate(bernoulli2nd_numbers(n_max))]
 
 
 def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
     """b_0..b_{n_max} of the second kind, exponential convention (n! * G_n)."""
-    return [math.factorial(n) * g for n, g in enumerate(gregory_coefficients(n_max))]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return extend(_BERNOULLI2ND, n_max, _next_bernoulli2nd)[: n_max + 1]
 
 
 def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
     """b_0(x)..b_{n_max}(x) at a rational x: the egf coefficients of
-    t/log(1+t) * (1+t)^x, from one ``gregory_coefficients`` call."""
+    t/log(1+t) * (1+t)^x, from one ``bernoulli2nd_numbers`` call."""
     x = normalize_point(x)
-    return pow1p_row(TruncatedSeries(tuple(gregory_coefficients(n_max))), x)
+    return pow1p_row(TruncatedSeries.from_egf(bernoulli2nd_numbers(n_max)), x)
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +104,5 @@ def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
         raise ValueError("index must be >= 0")
     if not isinstance(alpha, int) or alpha < 0:
         raise ValueError("negative order unsupported")
-    raw = extend(_BERNOULLI_RAW, n, _next_bernoulli_raw)[: n + 1]
-    powered = TruncatedSeries(tuple(raw)) ** alpha
+    powered = TruncatedSeries.from_egf(bernoulli_numbers(n)) ** alpha
     return _appell([powered.egf_coefficient(m) for m in range(n + 1)], n)(x)

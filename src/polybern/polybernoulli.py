@@ -104,15 +104,14 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     if abs(k) >= n:
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
         return TruncatedSeries.from_coeffs(weights, n).compose(inner)
-    if _ladder is not None and _ladder[0].coeffs == inner.coeffs:
+    if _ladder is not None and _ladder[0] == inner:
         _, d, li0, up, down = _ladder
     else:
         inner._require_no_constant_term()
         v = inner.valuation()
         if v is None:
             return inner
-        d = inner.theta().div_valuation(inner, v)
-        d = TruncatedSeries(d.coeffs + (Fraction(0),) * v)
+        d = inner.theta().div_valuation(inner, v).pad(n)
         li0 = inner.div_unit(constant_series(Fraction(1), n) - inner)
         up = down = (0, li0)
     rung, li = up if k >= 0 else down

@@ -1,39 +1,82 @@
 """Exact truncated formal power series.
 
-A series of order N stores the rational coefficients c_0..c_N of
-``sum_j c_j t^j + O(t^(N+1))`` as ``Fraction`` values. Everything is exact; no
-operation ever reads or produces a coefficient beyond index N, and binary
-operations demand that both operands share the same order — a mismatch
-raises instead of silently re-truncating. A symbolic x never enters a series:
-it is a change of basis on the rational coefficients (see
-``polybernoulli.poly_b2nd_values``).
+A series of order N stands for ``sum_j c_j t^j + O(t^(N+1))`` with rational
+c_0..c_N. Everything is exact; no operation reads or produces a coefficient
+beyond index N, and binary operations demand that both operands share the
+same order. A symbolic x never enters a series: it is a change of basis on
+the rational coefficients (see ``polybernoulli.poly_b2nd_values``).
 
-Coefficients can be read in two conventions: ``coeffs[n]`` is the raw t^n
-coefficient, while :meth:`TruncatedSeries.egf_coefficient` returns n!*c_n,
-the value attached to t^n/n! in an exponential generating function.
+``coeffs[n]`` is the raw t^n coefficient c_n. The arithmetic runs on the egf
+coefficients n! c_n (``egf_coefficient``), held as ints over their least
+common denominator: there 1 - e^(-t) has coefficients +-1, where the raw
+ones carry n!-sized denominators. A product is the binomial convolution
+sum_i C(m, i) a_i b_(m-i), a quotient forward substitution with the same
+binomials over a grow-only int prefix, and theta = t d/dt is n c_n in both
+readings, so the differential equations behind ``exp``, ``log1p`` and ``**``
+carry over. A raw coefficient is reduced once, when ``coeffs`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from operator import add, mul
+from typing import Callable, Iterator, Sequence
 
-from .polynomial import common_denominator
+from .polynomial import appended, common_denominator
+
+Row = tuple[tuple[int, ...], int]  # (nums, L): the values nums[i] / L
 
 
-@dataclass(frozen=True)
+def _lowest(nums: Sequence[int], den: int) -> Row:
+    """nums[i] / den, den > 0, over the least common denominator."""
+    g = math.gcd(den, *nums)
+    return (tuple(c // g for c in nums) if g > 1 else tuple(nums)), den // g
+
+
+def _pascal_rows(m: int) -> Iterator[list[int]]:
+    """Rows m, m + 1, ... of Pascal's triangle."""
+    row = [math.comb(m, i) for i in range(m + 1)]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
+def _quotient_term(a_m: int, la: int, q: Row, b: Sequence[int], lb: int, row: Sequence[int]) -> Fraction:
+    """Term m of the egf quotient a / b: b_0 q_m = a_m - sum_{i<m} C(m, i) q_i b_(m-i),
+    with a_m / la, b / lb, q_0..q_(m-1) in q and C(m, 0..m-1) in row. The
+    sum runs in ints and the term is reduced once."""
+    qs, lq = q
+    m = len(qs)
+    s = sum(map(mul, map(mul, row, qs), b[m:0:-1]))
+    return Fraction(a_m * lq * lb - la * s, la * lq * b[0])
+
+
 class TruncatedSeries:
-    """Immutable fixed-order power series with ``Fraction`` coefficients."""
+    """Immutable fixed-order power series with rational coefficients. The
+    kernel's egf ints come from the raw coefficients at construction; a series
+    the kernel built derives its raw ``coeffs`` on first use."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_coeffs", "_egf")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[object]) -> None:
+        if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        self._coeffs: tuple[Fraction, ...] | None = tuple(Fraction(c) for c in coeffs)
+        raw, den = common_denominator(self._coeffs)
+        factorial = 1
+        for n in range(1, len(raw)):
+            factorial *= n
+            raw[n] *= factorial
+        self._egf = _lowest(raw, den)
+
+    @classmethod
+    def _from_egf(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series with egf coefficients nums[n] / den, den > 0. ``_egf``
+        holds them over their least common denominator: the kernel's data."""
+        self = cls.__new__(cls)
+        self._coeffs, self._egf = None, _lowest(nums, den)
+        return self
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[object], order: int) -> "TruncatedSeries":
@@ -41,73 +84,110 @@ class TruncatedSeries:
             raise ValueError("coefficient count must equal order+1")
         return cls(tuple(coeffs))
 
+    @classmethod
+    def from_egf(cls, values: Sequence[object]) -> "TruncatedSeries":
+        """The series whose egf coefficients n! c_n are ``values``."""
+        return cls._from_egf(*common_denominator([Fraction(v) for v in values]))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The raw coefficients c_0..c_N."""
+        if self._coeffs is None:
+            nums, scale = self._egf  # scale = L n!
+            out = []
+            for n, c in enumerate(nums):
+                scale *= n or 1
+                out.append(Fraction(c, scale))
+            self._coeffs = tuple(out)
+        return self._coeffs
+
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._egf[0]) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self._egf == other._egf
+
+    def __hash__(self) -> int:
+        return hash(self._egf)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
         if order < 0 or order > self.order:
             raise ValueError("truncation order out of range")
-        return TruncatedSeries(self.coeffs[: order + 1])
+        nums, den = self._egf
+        return TruncatedSeries._from_egf(nums[: order + 1], den)
+
+    def pad(self, order: int) -> "TruncatedSeries":
+        """Append zero coefficients up to ``order`` (at least self.order)."""
+        if order < self.order:
+            raise ValueError("padding order below the series order")
+        nums, den = self._egf
+        return TruncatedSeries._from_egf(nums + (0,) * (order - self.order), den)
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _linear(self, other: object, sign: int) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        (a, la), (b, lb) = self._egf, other._egf
+        den = math.lcm(la, lb)
+        sa, sb = den // la, sign * (den // lb)
+        return TruncatedSeries._from_egf([x * sa + y * sb for x, y in zip(a, b)], den)
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._linear(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._linear(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        nums, den = self._egf
+        return TruncatedSeries._from_egf([-c for c in nums], den)
 
     def __mul__(self, other: object) -> "TruncatedSeries":
+        """A scalar multiple, or the product: egf coefficient m is the
+        binomial convolution sum_i C(m, i) a_i b_(m-i)."""
+        nums, den = self._egf
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(tuple(c * Fraction(other) for c in self.coeffs))
+            other = Fraction(other)
+            return TruncatedSeries._from_egf(
+                [c * other.numerator for c in nums], den * other.denominator
+            )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out))
+        b, lb = other._egf
+        out = [
+            sum(map(mul, map(mul, row, nums), b[m::-1]))
+            for m, row in zip(range(len(b)), _pascal_rows(0))
+        ]
+        return TruncatedSeries._from_egf(out, den * lb)
 
-    def __rmul__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         """self^a by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
 
-        With self = t^v u and u_0 invertible, g = u^a solves
-        u * theta(g) = a * theta(u) * g, that is
-        n u_0 g_n = sum_{i=1}^{n} ((a+1) i - n) u_i g_{n-i}, g_0 = u_0^a:
-        one series product in all. The result is g shifted by v*a.
+        With self = t^v u and u_0 invertible, g = self^a solves
+        self * theta(g) = a * theta(self) * g. On the egf coefficients s of
+        self and G of g, with G_j = 0 below j = v a and G_(va) = (va)! (s_v/v!)^a,
+        that is, for m > v a,
+
+            (m - v a) C(m + v, v) s_v G_m
+                = sum_{i>v} ((a + 1) i - m - v) C(m + v, i) s_i G_(m+v-i),
+
+        one series product in all.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer")
@@ -117,36 +197,32 @@ class TruncatedSeries:
         v = self.valuation()
         if v is None or v * exponent > n:
             return constant_series(Fraction(0), n)
-        u = self.coeffs[v:]
-        a1 = exponent + 1
-        g = [u[0] ** exponent]
-        for j in range(1, n - v * exponent + 1):
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                if u[i] != 0:
-                    acc = acc + (a1 * i - j) * u[i] * g[j - i]
-            g.append(acc / (j * u[0]))
-        return TruncatedSeries((Fraction(0),) * (v * exponent) + tuple(g))
+        s, ls = self._egf  # ls cancels from the recurrence, not from G_(va)
+        a1, start = exponent + 1, v * exponent
+        lead = Fraction(math.factorial(start) * s[v] ** exponent, (math.factorial(v) * ls) ** exponent)
+        g = appended(((0,) * start, 1), [lead])
+        for m, row in zip(range(start + 1, n + 1), _pascal_rows(start + 1 + v)):
+            gs, lg = g
+            mv = m + v
+            total = sum(
+                (a1 * i - mv) * row[i] * s[i] * gs[mv - i] for i in range(v + 1, mv - start + 1)
+            )
+            g = appended(g, [Fraction(total, lg * (m - start) * row[v] * s[v])])
+        return TruncatedSeries._from_egf(*g)
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
-        """Quotient by a series with invertible constant term.
-
-        Forward substitution: q_j = (num_j - sum_{i<j} q_i den_{j-i}) / den_0.
-        """
+        """Quotient by a series with invertible constant term, by forward
+        substitution on the egf coefficients (``_quotient_term``)."""
         if not isinstance(den, TruncatedSeries):
             raise TypeError("denominator must be a TruncatedSeries")
         self._check_compatible(den)
-        if den.coeffs[0] == 0:
+        (a, la), (b, lb) = self._egf, den._egf
+        if b[0] == 0:
             raise ValueError("denominator not a unit; use div_valuation")
-        inv = 1 / den.coeffs[0]
-        n = self.order
-        q: list[Fraction] = []
-        for j in range(n + 1):
-            acc = self.coeffs[j]
-            for i in range(j):
-                acc = acc - q[i] * den.coeffs[j - i]
-            q.append(acc * inv)
-        return TruncatedSeries(tuple(q))
+        q: Row = ((), 1)
+        for a_m, row in zip(a, _pascal_rows(0)):
+            q = appended(q, [_quotient_term(a_m, la, q, b, lb, row)])
+        return TruncatedSeries._from_egf(*q)
 
     def div_valuation(self, den: "TruncatedSeries", v: int) -> "TruncatedSeries":
         """Quotient of two series that both vanish to order ``v``.
@@ -161,46 +237,52 @@ class TruncatedSeries:
         if v < 0:
             raise ValueError("valuation must be non-negative")
         if v > self.order:
-            raise ValueError(
-                f"valuation {v} exceeds series order {self.order}"
-            )
+            raise ValueError(f"valuation {v} exceeds series order {self.order}")
+        b = den._egf[0]
         for i in range(v):
-            if self.coeffs[i] != 0:
-                raise ValueError(
-                    f"numerator has nonzero coefficient at index {i}, "
-                    f"expected valuation {v}"
-                )
-            if den.coeffs[i] != 0:
-                raise ValueError(
-                    f"denominator has nonzero coefficient at index {i}, "
-                    f"expected valuation {v}"
-                )
-        if den.coeffs[v] == 0:
-            raise ValueError(
-                f"denominator coefficient at index {v} is zero; not a unit after shift"
-            )
-        num = TruncatedSeries(self.coeffs[v:])
-        return num.div_unit(TruncatedSeries(den.coeffs[v:]))
+            for name, c in (("numerator", self._egf[0][i]), ("denominator", b[i])):
+                if c:
+                    raise ValueError(f"{name} has nonzero coefficient at index {i}, expected valuation {v}")
+        if b[v] == 0:
+            raise ValueError(f"denominator coefficient at index {v} is zero; not a unit after shift")
+        return self._shift_down(v).div_unit(den._shift_down(v))
+
+    def _shift_down(self, v: int) -> "TruncatedSeries":
+        """self / t^v, for a series whose coefficients below v vanish: egf
+        coefficient n becomes E_(n+v) n! / (n+v)!."""
+        nums, den = self._egf
+        rising = [math.perm(n + v, v) for n in range(len(nums) - v)]
+        scale = math.lcm(*rising)
+        return TruncatedSeries._from_egf(
+            [c * (scale // r) for c, r in zip(nums[v:], rising)], den * scale
+        )
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Coefficients of self(inner(t)), truncated at the common order.
 
         ``inner`` must have zero constant term; evaluation is Horner's rule
-        over truncated series, N series products in all. The production paths
-        solve differential equations instead (``exp``, ``log1p``,
-        ``polylog_series``); this stays as their independent oracle.
+        with N products of the raw ``Fraction`` coefficients, outside the
+        integer kernel. The production paths solve differential equations
+        instead (``exp``, ``log1p``, ``polylog_series``); this stays as
+        their independent oracle.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._check_compatible(inner)
         inner._require_no_constant_term()
-        acc = constant_series(self.coeffs[-1], self.order)
-        for j in range(self.order - 1, -1, -1):
-            acc = acc * inner + constant_series(self.coeffs[j], self.order)
-        return acc
+        n, f = self.order, inner.coeffs
+        acc = [Fraction(0)] * (n + 1)
+        for c in reversed(self.coeffs):
+            nxt = [c] + [Fraction(0)] * n  # acc * inner + c
+            for i, x in enumerate(acc[:n]):
+                if x:
+                    for j in range(1, n + 1 - i):
+                        nxt[i + j] += x * f[j]
+            acc = nxt
+        return TruncatedSeries(acc)
 
     def _require_no_constant_term(self) -> None:
-        if self.coeffs[0] != 0:
+        if self._egf[0][0] != 0:
             raise ValueError("composition requires inner series with zero constant term")
 
     # -- differential equations -----------------------------------------
@@ -209,29 +291,30 @@ class TruncatedSeries:
 
     def theta(self) -> "TruncatedSeries":
         """t * d/dt: c_n -> n c_n."""
-        return TruncatedSeries(tuple(n * c for n, c in enumerate(self.coeffs)))
+        nums, den = self._egf
+        return TruncatedSeries._from_egf([n * c for n, c in enumerate(nums)], den)
 
     def theta_inverse(self) -> "TruncatedSeries":
-        """The inverse of theta on series with zero constant term: c_n -> c_n / n."""
-        if self.coeffs[0] != 0:
+        """The inverse of theta on series with zero constant term: c_n -> c_n / n,
+        over the denominator L lcm(1..N)."""
+        nums, den = self._egf
+        if nums[0] != 0:
             raise ValueError("theta_inverse needs a zero constant term")
-        return TruncatedSeries(
-            (self.coeffs[0],) + tuple(c / n for n, c in enumerate(self.coeffs[1:], 1))
+        scale = math.lcm(*range(1, len(nums)))
+        return TruncatedSeries._from_egf(
+            [0] + [c * (scale // n) for n, c in enumerate(nums[1:], 1)], den * scale
         )
 
     def exp(self) -> "TruncatedSeries":
         """exp(self) for zero constant term, from theta(g) = theta(self) * g
-        with g_0 = 1: n g_n = sum_{i=1}^{n} i c_i g_{n-i}."""
+        with g_0 = 1; on egf coefficients, g_m = sum_{j<m} C(m-1, j) g_j f_(m-j)."""
         self._require_no_constant_term()
-        d = self.theta().coeffs
-        g = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if d[i] != 0:
-                    acc = acc + d[i] * g[n - i]
-            g.append(acc / n)
-        return TruncatedSeries(tuple(g))
+        f, lf = self._egf
+        g: Row = ((1,), 1)
+        for m, row in zip(range(1, len(f)), _pascal_rows(0)):
+            gs, lg = g
+            g = appended(g, [Fraction(sum(map(mul, map(mul, row, gs), f[m:0:-1])), lg * lf)])
+        return TruncatedSeries._from_egf(*g)
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + self) for zero constant term: theta^-1(theta(self) / (1 + self))."""
@@ -245,74 +328,100 @@ class TruncatedSeries:
         """n! * c_n, the coefficient attached to t^n/n!."""
         if n < 0 or n > self.order:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
-        return math.factorial(n) * self.coeffs[n]
-
-    @cached_property
-    def _egf_ints(self) -> tuple[list[int], int]:
-        """The egf coefficients n! c_n as ints over their least common
-        denominator, computed once per series (see ``pow1p_row``)."""
-        return common_denominator([self.egf_coefficient(n) for n in range(self.order + 1)])
+        nums, den = self._egf
+        return Fraction(nums[n], den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._egf[0]):
             if c != 0:
                 return i
         return None
 
 
+def reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list], Fraction]:
+    """The ``combinatorics.extend`` step of the egf coefficients q of 1/D(t),
+    D_0 = 1 and D_m = d(m): ``div_unit``'s forward substitution, one term per
+    call. q, D (ints over one common denominator each) and the binomial row
+    are replaced whole, so an interrupted step leaves them consistent; a term
+    computed but never appended is handed out again."""
+    state: tuple[Row, Row, list[int]] = (((1,), 1), ((1,), 1), [1])
+
+    def step(seq: list) -> Fraction:
+        nonlocal state
+        n = len(seq)
+        q, ds, row = state
+        if len(q[0]) > n:
+            return Fraction(q[0][n], q[1])
+        ds = appended(ds, [d(n)])
+        row = [1, *map(add, row, row[1:]), 1]  # C(n, 0..n)
+        term = _quotient_term(0, 1, q, ds[0], ds[1], row)
+        state = (appended(q, [term]), ds, row)
+        return term
+
+    return step
+
+
 # -- stock series -------------------------------------------------------
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+
+def _falling(a: int, c: int, n: int) -> list[int]:
+    """(x)_j c^j = prod_{i<j} (a - i c) for x = a/c and j = 0..n, up to the
+    first zero."""
+    out = [1]
+    for i in range(n):
+        nxt = out[-1] * (a - i * c)
+        if not nxt:
+            break
+        out.append(nxt)
+    return out
+
+
+def _over_powers(nums: Sequence[int], c: int, order: int) -> TruncatedSeries:
+    """The series with egf coefficients nums[j] / c^j (zero past nums)."""
+    scaled = [x * c ** (order - j) for j, x in enumerate(nums)]
+    return TruncatedSeries._from_egf(scaled + [0] * (order + 1 - len(scaled)), c**order)
 
 
 def constant_series(value: object, order: int) -> TruncatedSeries:
     """The constant ``value`` as a series of the given order."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return TruncatedSeries((value,) + (Fraction(0),) * order)
+    _check_order(order)
+    value = Fraction(value)
+    return TruncatedSeries._from_egf((value.numerator,) + (0,) * order, value.denominator)
 
 
 def t_series(order: int) -> TruncatedSeries:
     """The identity series t (just [0, 1, 0, ...] at the given order)."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    coeffs = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return TruncatedSeries(tuple(coeffs))
+    _check_order(order)
+    return TruncatedSeries._from_egf(((0, 1) + (0,) * order)[: order + 1], 1)
 
 
 def exp_series(a: object, order: int) -> TruncatedSeries:
-    """e^(a*t) for a rational a: coefficients a^j / j!."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    """e^(a*t) for a rational a: egf coefficients a^j."""
+    _check_order(order)
     a = Fraction(a)
-    coeffs = [Fraction(1)]
-    for j in range(1, order + 1):
-        coeffs.append(coeffs[-1] * a / j)
-    return TruncatedSeries(tuple(coeffs))
+    return _over_powers([a.numerator**j for j in range(order + 1)], a.denominator, order)
 
 
 def log1p_series(order: int) -> TruncatedSeries:
-    """log(1+t): coefficients [0, 1, -1/2, 1/3, -1/4, ...]."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    coeffs = [Fraction(0)]
-    for j in range(1, order + 1):
-        coeffs.append(Fraction((-1) ** (j + 1), j))
-    return TruncatedSeries(tuple(coeffs))
+    """log(1+t): raw coefficients [0, 1, -1/2, 1/3, ...], egf (-1)^(j+1) (j-1)!."""
+    _check_order(order)
+    nums = [0, 1][: order + 1]
+    for j in range(2, order + 1):
+        nums.append(-(j - 1) * nums[-1])
+    return TruncatedSeries._from_egf(nums, 1)
 
 
 def pow1p_series(x: object, order: int) -> TruncatedSeries:
-    """(1+t)^x for a rational x: coefficients (x)_j / j! with (x)_j the
-    falling factorial. At an integer x >= 0 they vanish past index x."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    """(1+t)^x for a rational x: egf coefficients the falling factorials (x)_j,
+    which vanish past index x at an integer x >= 0."""
+    _check_order(order)
     x = Fraction(x)
-    coeffs = [Fraction(1)]
-    for j in range(1, order + 1):
-        # (x)_j / j! = (x)_{j-1}/(j-1)! * (x - (j-1)) / j
-        coeffs.append(coeffs[-1] * (x - (j - 1)) / j)
-    return TruncatedSeries(tuple(coeffs))
+    return _over_powers(_falling(x.numerator, x.denominator, order), x.denominator, order)
 
 
 def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
@@ -320,30 +429,18 @@ def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
     at x of a family whose generating function depends on x only through
     the factor (1+t)^x.
 
-    With q_m = Q_m / L the series' egf coefficients over their common
-    denominator (once per series) and x = a/c, (x)_j c^j = prod_{i<j} (a - i c),
-    so b_n = sum_j C(n, j) q_{n-j} (x)_j is the int sum
-    sum_j C(n, j) Q_{n-j} c^(n-j) prod_{i<j} (a - i c) over L c^n, reduced once.
-    The products stop at the first zero factor: at an integer x >= 0 only
-    j <= x contribute.
+    With q_m = Q_m / L the series' egf coefficients as the kernel holds them
+    and x = a/c, (x)_j c^j = prod_{i<j} (a - i c), so b_n = sum_j C(n, j)
+    q_{n-j} (x)_j is the int sum sum_j C(n, j) Q_{n-j} c^(n-j) prod_{i<j}
+    (a - i c) over L c^n, reduced once. The products stop at the first zero
+    factor: at an integer x >= 0 only j <= x contribute.
     """
     x = Fraction(x)
-    a, c = x.numerator, x.denominator
-    nums, den = series._egf_ints
-    falling = [1]  # falling[j] = (x)_j c^j, up to the first zero
-    for i in range(series.order):
-        nxt = falling[-1] * (a - i * c)
-        if not nxt:
-            break
-        falling.append(nxt)
-    scaled, power = [], 1  # scaled[m] = Q_m c^m
-    for q in nums:
-        scaled.append(q * power)
-        power *= c
-    out, scale = [], den  # scale = L c^n
-    for n in range(len(nums)):
-        top = min(n, len(falling) - 1)
-        total = sum(math.comb(n, j) * falling[j] * scaled[n - j] for j in range(top + 1))
-        out.append(Fraction(total, scale))
-        scale *= c
-    return tuple(out)
+    c = x.denominator
+    nums, den = series._egf
+    falling = _falling(x.numerator, c, series.order)
+    scaled = [q * c**m for m, q in enumerate(nums)]  # Q_m c^m
+    return tuple(
+        Fraction(sum(map(mul, map(mul, row, falling), scaled[n::-1])), den * c**n)
+        for n, row in zip(range(len(nums)), _pascal_rows(0))
+    )

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import naive_mul
-from polybern import bernoulli
+from polybern import bernoulli, series
 from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
@@ -132,24 +132,26 @@ def test_concurrent_growth_appends_each_term_once():
 
 
 def test_an_interrupted_step_leaves_the_recurrence_intact():
-    # The step of t/(e^t - 1), interrupted once after caching D_2 = 1/3!.
-    step = bernoulli._reciprocal_step(lambda m: F(1, math.factorial(m + 1)))
+    # The egf step of t/(e^t - 1), interrupted once while it grows D to
+    # D_2 = 1/3, and once more after it computed a term that was never
+    # appended.
+    interrupted = []
 
-    # The step reads each new q_j as its numerator and denominator.
-    class Interrupt:
-        @property
-        def numerator(self):
+    def d(m):
+        if m == 2 and not interrupted:
+            interrupted.append(m)
             raise KeyboardInterrupt
+        return F(1, m + 1)
 
-        denominator = numerator
-
+    step = series.reciprocal_step(d)
     q = [F(1)]
     q.append(step(q))
     with pytest.raises(KeyboardInterrupt):
-        step([q[0], Interrupt()])
+        step(q)
+    step(q)  # the result is dropped, as when extend is interrupted before it appends
     while len(q) < 8:
         q.append(step(q))
-    assert q == [b / math.factorial(n) for n, b in enumerate(bernoulli_numbers(7))]
+    assert q == bernoulli_numbers(7)
 
 
 def test_second_kind_polynomials():

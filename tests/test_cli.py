@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polybern import bernoulli, polybernoulli
+from polybern import bernoulli, cli, polybernoulli
 from polybern.cli import main
 from polybern.combinatorics import stirling1, stirling2
 
@@ -350,6 +350,29 @@ def test_k_over_the_cap_exits_two(capsys, argv, too_big):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].endswith(f"error: |k| must be at most 20000, not {too_big}")
+
+
+@pytest.mark.parametrize(
+    "argv, message, work",
+    [
+        (("table", "--kind", "bernoulli", "-n", "1001"), "--n-max must be at most 1000, not 1001", "_table_values"),
+        (("verify", "--identity", "thm2", "--n-max", "101"), "--n-max must be at most 100, not 101", "verify_identity"),
+        (("eval", "--expr", "t", "--order", "1001"), "--order must be at most 1000, not 1001", "eval_expr"),
+    ],
+    ids=["table-n", "verify-n-max", "eval-order"],
+)
+def test_size_over_its_cap_exits_two_before_any_work(capsys, monkeypatch, argv, message, work):
+    assert (cli.MAX_TABLE_N, cli.MAX_VERIFY_N, cli.MAX_ORDER) == (1000, 100, 1000)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} called")
+
+    owner = polybernoulli if work == "verify_identity" else cli
+    monkeypatch.setattr(owner, work, forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
 
 
 def test_k_at_the_cap_runs(capsys):

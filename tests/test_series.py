@@ -321,6 +321,8 @@ def test_pow1p_row_edge_points():
 def test_egf_round_trip(s):
     for n in range(s.order + 1):
         assert s.egf_coefficient(n) / math.factorial(n) == s.coeffs[n]
+    from_egf = TruncatedSeries.from_egf([s.egf_coefficient(n) for n in range(s.order + 1)])
+    assert from_egf == s and hash(from_egf) == hash(s) and from_egf.coeffs == s.coeffs
 
 
 @given(series_strategy(max_order=12), series_strategy(max_order=12))
