@@ -29,10 +29,10 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. The
 #: cost grows steeply with size: on a 2-vCPU VM ``table --kind poly2nd -k -3``
-#: takes about 0.8 s at n = 400 and 10 s at n = 800, and ``verify thm4``
-#: checks (n+1)^2 points per n.
+#: takes about 1 s at n = 400 and 10 s at n = 800, and ``verify thm4``,
+#: which checks (n+1)^2 points per n, 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
-MAX_VERIFY_N = 100
+MAX_VERIFY_N = 50
 MAX_ORDER = 1000
 
 

@@ -44,8 +44,8 @@ def _pascal_rows(m: int) -> Iterator[list[int]]:
 
 def _quotient_term(a_m: int, la: int, q: Row, b: Sequence[int], lb: int, row: Sequence[int]) -> Fraction:
     """Term m of the egf quotient a / b: b_0 q_m = a_m - sum_{i<m} C(m, i) q_i b_(m-i),
-    with a_m / la, b / lb, q_0..q_(m-1) in q and C(m, 0..m-1) in row. The
-    sum runs in ints and the term is reduced once."""
+    with a_m / la, b / lb, q_0..q_(m-1) in q and row starting C(m, 0..m-1).
+    The sum runs in ints and the term is reduced once."""
     qs, lq = q
     m = len(qs)
     s = sum(map(mul, map(mul, row, qs), b[m:0:-1]))

@@ -356,13 +356,13 @@ def test_k_over_the_cap_exits_two(capsys, argv, too_big):
     "argv, message, work",
     [
         (("table", "--kind", "bernoulli", "-n", "1001"), "--n-max must be at most 1000, not 1001", "_table_values"),
-        (("verify", "--identity", "thm2", "--n-max", "101"), "--n-max must be at most 100, not 101", "verify_identity"),
+        (("verify", "--identity", "thm2", "--n-max", "51"), "--n-max must be at most 50, not 51", "verify_identity"),
         (("eval", "--expr", "t", "--order", "1001"), "--order must be at most 1000, not 1001", "eval_expr"),
     ],
     ids=["table-n", "verify-n-max", "eval-order"],
 )
 def test_size_over_its_cap_exits_two_before_any_work(capsys, monkeypatch, argv, message, work):
-    assert (cli.MAX_TABLE_N, cli.MAX_VERIFY_N, cli.MAX_ORDER) == (1000, 100, 1000)
+    assert (cli.MAX_TABLE_N, cli.MAX_VERIFY_N, cli.MAX_ORDER) == (1000, 50, 1000)
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{work} called")
