@@ -13,9 +13,10 @@ mixes them freely: the familiar small values 1, 1/2, -1/12, 1/24, -19/720,
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Sequence, Union
 
 from .combinatorics import binomial, extend, to_monomial_basis
@@ -25,13 +26,13 @@ from .series import TruncatedSeries, pow1p_row, reciprocal_step
 Scalar = Union[int, Fraction]
 
 
-# Grow-only prefixes of the egf coefficients of t/(e^t - 1) (B_n) and of
-# t/log(1+t) (b_n), the reciprocals of (e^t - 1)/t and log(1+t)/t, whose egf
-# coefficients are 1/(m+1) and (-1)^m m!/(m+1).
+# Grow-only prefixes of t/(e^t - 1) and t/log(1+t), the reciprocals of
+# (e^t - 1)/t and log(1+t)/t, each in the reading where the divisor is small:
+# the egf B_n from egf coefficients 1/(m+1), the raw G_n from raw (-1)^m/(m+1).
 _BERNOULLI = [Fraction(1)]
 _next_bernoulli = reciprocal_step(lambda m: Fraction(1, m + 1))
-_BERNOULLI2ND = [Fraction(1)]
-_next_bernoulli2nd = reciprocal_step(lambda m: Fraction((-1) ** m * math.factorial(m), m + 1))
+_GREGORY = [Fraction(1)]
+_next_gregory = reciprocal_step(lambda m: Fraction((-1) ** m, m + 1), egf=False)
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -42,22 +43,23 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 
 
 def gregory_coefficients(n_max: int) -> list[Fraction]:
-    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t): b_n / n!."""
-    return [b / math.factorial(n) for n, b in enumerate(bernoulli2nd_numbers(n_max))]
+    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return extend(_GREGORY, n_max, _next_gregory)[: n_max + 1]
 
 
 def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
     """b_0..b_{n_max} of the second kind, exponential convention (n! * G_n)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return extend(_BERNOULLI2ND, n_max, _next_bernoulli2nd)[: n_max + 1]
+    factorials = accumulate(range(1, n_max + 1), mul, initial=1)
+    return list(map(mul, gregory_coefficients(n_max), factorials))
 
 
 def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
     """b_0(x)..b_{n_max}(x) at a rational x: the egf coefficients of
-    t/log(1+t) * (1+t)^x, from one ``bernoulli2nd_numbers`` call."""
+    t/log(1+t) * (1+t)^x, from one ``gregory_coefficients`` call."""
     x = normalize_point(x)
-    return pow1p_row(TruncatedSeries.from_egf(bernoulli2nd_numbers(n_max)), x)
+    return pow1p_row(TruncatedSeries(gregory_coefficients(n_max)), x)
 
 
 @lru_cache(maxsize=None)
@@ -104,5 +106,5 @@ def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
         raise ValueError("index must be >= 0")
     if not isinstance(alpha, int) or alpha < 0:
         raise ValueError("negative order unsupported")
-    powered = TruncatedSeries.from_egf(bernoulli_numbers(n)) ** alpha
+    powered = TruncatedSeries.from_egf(*common_denominator(bernoulli_numbers(n))) ** alpha
     return _appell([powered.egf_coefficient(m) for m in range(n + 1)], n)(x)

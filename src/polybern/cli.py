@@ -27,10 +27,13 @@ from .expr import ParseError, eval_expr, parse_expr
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-#: The largest sizes the CLI accepts; a larger value is a usage error. The
-#: cost grows steeply with size: on a 2-vCPU VM ``table --kind poly2nd -k -3``
-#: takes about 1 s at n = 400 and 10 s at n = 800, and ``verify thm4``,
-#: which checks (n+1)^2 points per n, 17 s and 171 MB at n = 50.
+#: The largest sizes the CLI accepts; a larger value is a usage error. They
+#: bound the cost only while |k| is small. On a 2-vCPU VM ``table --kind
+#: poly2nd -n 1000`` takes 17 s at k = -3 and 48 s at k = 5, but each further
+#: rung of |k| costs 1-6 s downward and 9-19 s upward at that size, and
+#: |k| > n composes the dense 1 - e^(-t) by Horner's rule (120 s for
+#: ``-k 101 -n 100``). ``verify thm4``, which checks (n+1)^2 points per n,
+#: takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
 MAX_VERIFY_N = 50
 MAX_ORDER = 1000

@@ -91,8 +91,9 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     one series product or quotient per rung (Brent and Kung, J. ACM 1978).
     D = theta(f) / f is known only to order N - v, but Li_j(f) has valuation
     v and D is a unit, so neither step reads D beyond that and zeros pad it
-    back to order N. For |k| >= N, Horner's rule on the N terms costs fewer
-    products and is used instead.
+    back to order N. For |k| >= N, Horner's rule on the N terms takes fewer
+    steps and is used instead, though each step is a raw ``Fraction``
+    product, far dearer than a rung when f is dense.
 
     The ladder of the last f (compared by value) is kept: D, Li_0 and the
     furthest rung reached each way. A request at or past a rung resumes
@@ -111,7 +112,8 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
         v = inner.valuation()
         if v is None:
             return inner
-        d = inner.theta().div_valuation(inner, v).pad(n)
+        nums, den = inner.theta().div_valuation(inner, v)._egf
+        d = TruncatedSeries.from_egf(nums + (0,) * v, den)
         li0 = inner.div_unit(constant_series(Fraction(1), n) - inner)
         up = down = (0, li0)
     rung, li = up if k >= 0 else down

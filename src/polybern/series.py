@@ -7,19 +7,18 @@ same order. A symbolic x never enters a series: it is a change of basis on
 the rational coefficients (see ``polybernoulli.poly_b2nd_values``).
 
 ``coeffs[n]`` is the raw t^n coefficient c_n. The arithmetic runs on the egf
-coefficients n! c_n (``egf_coefficient``), held as ints over their least
-common denominator: there 1 - e^(-t) has coefficients +-1, where the raw
-ones carry n!-sized denominators. A product is the binomial convolution
+coefficients n! c_n, held as ints over their least common denominator (where
+1 - e^(-t) has coefficients +-1): a product is the binomial convolution
 sum_i C(m, i) a_i b_(m-i), a quotient forward substitution with the same
-binomials over a grow-only int prefix, and theta = t d/dt is n c_n in both
-readings, so the differential equations behind ``exp``, ``log1p`` and ``**``
-carry over. A raw coefficient is reduced once, when ``coeffs`` is read.
+binomials, and theta = t d/dt is n c_n in both readings.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
@@ -42,40 +41,38 @@ def _pascal_rows(m: int) -> Iterator[list[int]]:
         row = [1, *map(add, row, row[1:]), 1]
 
 
+def _dot(row: Sequence[int], xs: Sequence[int], ys: Sequence[int]) -> int:
+    """sum_i row[i] xs[i] ys[i] over the shortest of the three, skipping the
+    terms where xs[i] or ys[i] is zero: the inner sum of every product."""
+    return sum(r * x * y for r, x, y in zip(row, xs, ys) if x and y)
+
+
 def _quotient_term(a_m: int, la: int, q: Row, b: Sequence[int], lb: int, row: Sequence[int]) -> Fraction:
     """Term m of the egf quotient a / b: b_0 q_m = a_m - sum_{i<m} C(m, i) q_i b_(m-i),
     with a_m / la, b / lb, q_0..q_(m-1) in q and row starting C(m, 0..m-1).
     The sum runs in ints and the term is reduced once."""
     qs, lq = q
     m = len(qs)
-    s = sum(map(mul, map(mul, row, qs), b[m:0:-1]))
+    s = _dot(row, qs, b[m:0:-1])
     return Fraction(a_m * lq * lb - la * s, la * lq * b[0])
 
 
 class TruncatedSeries:
     """Immutable fixed-order power series with rational coefficients. The
-    kernel's egf ints come from the raw coefficients at construction; a series
-    the kernel built derives its raw ``coeffs`` on first use."""
-
-    __slots__ = ("_coeffs", "_egf")
+    raw ``coeffs`` and the kernel's egf ints (``_egf``) are each derived from
+    the other on first use, so a series read only one way is never converted."""
 
     def __init__(self, coeffs: Sequence[object]) -> None:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        self._coeffs: tuple[Fraction, ...] | None = tuple(Fraction(c) for c in coeffs)
-        raw, den = common_denominator(self._coeffs)
-        factorial = 1
-        for n in range(1, len(raw)):
-            factorial *= n
-            raw[n] *= factorial
-        self._egf = _lowest(raw, den)
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.order = len(self.coeffs) - 1
 
     @classmethod
-    def _from_egf(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
-        """The series with egf coefficients nums[n] / den, den > 0. ``_egf``
-        holds them over their least common denominator: the kernel's data."""
+    def from_egf(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series with egf coefficients nums[n] / den, den > 0."""
         self = cls.__new__(cls)
-        self._coeffs, self._egf = None, _lowest(nums, den)
+        self._egf, self.order = _lowest(nums, den), len(nums) - 1
         return self
 
     @classmethod
@@ -84,34 +81,25 @@ class TruncatedSeries:
             raise ValueError("coefficient count must equal order+1")
         return cls(tuple(coeffs))
 
-    @classmethod
-    def from_egf(cls, values: Sequence[object]) -> "TruncatedSeries":
-        """The series whose egf coefficients n! c_n are ``values``."""
-        return cls._from_egf(*common_denominator([Fraction(v) for v in values]))
-
-    @property
+    @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The raw coefficients c_0..c_N."""
-        if self._coeffs is None:
-            nums, scale = self._egf  # scale = L n!
-            out = []
-            for n, c in enumerate(nums):
-                scale *= n or 1
-                out.append(Fraction(c, scale))
-            self._coeffs = tuple(out)
-        return self._coeffs
+        nums, den = self._egf
+        return tuple(map(Fraction, nums, accumulate(range(1, len(nums)), mul, initial=den)))
 
-    @property
-    def order(self) -> int:
-        return len(self._egf[0]) - 1
+    @cached_property
+    def _egf(self) -> Row:
+        """The egf coefficients n! c_n as ints over their least common denominator."""
+        nums, den = common_denominator(self.coeffs)
+        return _lowest(list(map(mul, nums, accumulate(range(1, len(nums)), mul, initial=1))), den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._egf == other._egf
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self._egf)
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(coeffs={self.coeffs!r})"
@@ -124,15 +112,10 @@ class TruncatedSeries:
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
         if order < 0 or order > self.order:
             raise ValueError("truncation order out of range")
+        if "coeffs" in self.__dict__:  # keep a raw series raw
+            return TruncatedSeries(self.coeffs[: order + 1])
         nums, den = self._egf
-        return TruncatedSeries._from_egf(nums[: order + 1], den)
-
-    def pad(self, order: int) -> "TruncatedSeries":
-        """Append zero coefficients up to ``order`` (at least self.order)."""
-        if order < self.order:
-            raise ValueError("padding order below the series order")
-        nums, den = self._egf
-        return TruncatedSeries._from_egf(nums + (0,) * (order - self.order), den)
+        return TruncatedSeries.from_egf(nums[: order + 1], den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -143,7 +126,7 @@ class TruncatedSeries:
         (a, la), (b, lb) = self._egf, other._egf
         den = math.lcm(la, lb)
         sa, sb = den // la, sign * (den // lb)
-        return TruncatedSeries._from_egf([x * sa + y * sb for x, y in zip(a, b)], den)
+        return TruncatedSeries.from_egf([x * sa + y * sb for x, y in zip(a, b)], den)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self._linear(other, 1)
@@ -153,41 +136,31 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         nums, den = self._egf
-        return TruncatedSeries._from_egf([-c for c in nums], den)
+        return TruncatedSeries.from_egf([-c for c in nums], den)
 
     def __mul__(self, other: object) -> "TruncatedSeries":
         """A scalar multiple, or the product: egf coefficient m is the
         binomial convolution sum_i C(m, i) a_i b_(m-i)."""
         nums, den = self._egf
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return TruncatedSeries._from_egf(
-                [c * other.numerator for c in nums], den * other.denominator
-            )
+            p, q = Fraction(other).as_integer_ratio()
+            return TruncatedSeries.from_egf([c * p for c in nums], den * q)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         b, lb = other._egf
-        out = [
-            sum(map(mul, map(mul, row, nums), b[m::-1]))
-            for m, row in zip(range(len(b)), _pascal_rows(0))
-        ]
-        return TruncatedSeries._from_egf(out, den * lb)
+        out = [_dot(row, nums, b[m::-1]) for m, row in zip(range(len(b)), _pascal_rows(0))]
+        return TruncatedSeries.from_egf(out, den * lb)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        """self^a by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
-
-        With self = t^v u and u_0 invertible, g = self^a solves
-        self * theta(g) = a * theta(self) * g. On the egf coefficients s of
-        self and G of g, with G_j = 0 below j = v a and G_(va) = (va)! (s_v/v!)^a,
-        that is, for m > v a,
-
-            (m - v a) C(m + v, v) s_v G_m
-                = sum_{i>v} ((a + 1) i - m - v) C(m + v, i) s_i G_(m+v-i),
-
-        one series product in all.
+        """self^a by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        g = self^a solves self * theta(g) = a * theta(self) * g. With self =
+        t^v u, u_0 invertible, and s, G the egf coefficients of self and g,
+        G_j = 0 below j = v a, G_(va) = (va)! (s_v/v!)^a and, for m > v a,
+        (m - v a) C(m + v, v) s_v G_m
+            = sum_{i>v} ((a + 1) i - m - v) C(m + v, i) s_i G_(m+v-i).
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer")
@@ -204,11 +177,10 @@ class TruncatedSeries:
         for m, row in zip(range(start + 1, n + 1), _pascal_rows(start + 1 + v)):
             gs, lg = g
             mv = m + v
-            total = sum(
-                (a1 * i - mv) * row[i] * s[i] * gs[mv - i] for i in range(v + 1, mv - start + 1)
-            )
+            terms = range(v + 1, mv - start + 1)
+            total = sum((a1 * i - mv) * row[i] * s[i] * gs[mv - i] for i in terms if s[i])
             g = appended(g, [Fraction(total, lg * (m - start) * row[v] * s[v])])
-        return TruncatedSeries._from_egf(*g)
+        return TruncatedSeries.from_egf(*g)
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient by a series with invertible constant term, by forward
@@ -222,15 +194,11 @@ class TruncatedSeries:
         q: Row = ((), 1)
         for a_m, row in zip(a, _pascal_rows(0)):
             q = appended(q, [_quotient_term(a_m, la, q, b, lb, row)])
-        return TruncatedSeries._from_egf(*q)
+        return TruncatedSeries.from_egf(*q)
 
     def div_valuation(self, den: "TruncatedSeries", v: int) -> "TruncatedSeries":
-        """Quotient of two series that both vanish to order ``v``.
-
-        Both operands must have c_0 = ... = c_{v-1} = 0 and the denominator
-        must have a nonzero coefficient at index v. The result has order
-        ``self.order - v``.
-        """
+        """Quotient of two series with c_0 = ... = c_(v-1) = 0, the
+        denominator's c_v nonzero; the result has order ``self.order - v``."""
         if not isinstance(den, TruncatedSeries):
             raise TypeError("denominator must be a TruncatedSeries")
         self._check_compatible(den)
@@ -245,39 +213,36 @@ class TruncatedSeries:
                     raise ValueError(f"{name} has nonzero coefficient at index {i}, expected valuation {v}")
         if b[v] == 0:
             raise ValueError(f"denominator coefficient at index {v} is zero; not a unit after shift")
-        return self._shift_down(v).div_unit(den._shift_down(v))
-
-    def _shift_down(self, v: int) -> "TruncatedSeries":
-        """self / t^v, for a series whose coefficients below v vanish: egf
-        coefficient n becomes E_(n+v) n! / (n+v)!."""
-        nums, den = self._egf
-        rising = [math.perm(n + v, v) for n in range(len(nums) - v)]
+        # Egf coefficient n of s / t^v is s_(n+v) n! / (n+v)!; both operands
+        # are also scaled by lcm((n+v)!/n!), which cancels in the quotient.
+        rising = [math.perm(n + v, v) for n in range(self.order + 1 - v)]
         scale = math.lcm(*rising)
-        return TruncatedSeries._from_egf(
-            [c * (scale // r) for c, r in zip(nums[v:], rising)], den * scale
+        num, den = (
+            TruncatedSeries.from_egf([c * (scale // r) for c, r in zip(nums[v:], rising)], d)
+            for nums, d in (self._egf, den._egf)
         )
+        return num.div_unit(den)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Coefficients of self(inner(t)), truncated at the common order.
-
-        ``inner`` must have zero constant term; evaluation is Horner's rule
-        with N products of the raw ``Fraction`` coefficients, outside the
-        integer kernel. The production paths solve differential equations
-        instead (``exp``, ``log1p``, ``polylog_series``); this stays as
-        their independent oracle.
-        """
+        """self(inner(t)) for ``inner`` with zero constant term: Horner's rule
+        on the raw coefficients, outside the kernel, over the nonzero terms of
+        inner. It is the test oracle of ``exp``, ``log1p`` and the polylog
+        ladder, and the polylog of ``polylog_series`` at |k| >= N."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._check_compatible(inner)
         inner._require_no_constant_term()
-        n, f = self.order, inner.coeffs
+        n = self.order
+        terms = [(j, c) for j, c in enumerate(inner.coeffs) if c]
         acc = [Fraction(0)] * (n + 1)
         for c in reversed(self.coeffs):
             nxt = [c] + [Fraction(0)] * n  # acc * inner + c
-            for i, x in enumerate(acc[:n]):
+            for i, x in enumerate(acc):
                 if x:
-                    for j in range(1, n + 1 - i):
-                        nxt[i + j] += x * f[j]
+                    for j, y in terms:
+                        if i + j > n:
+                            break
+                        nxt[i + j] += x * y
             acc = nxt
         return TruncatedSeries(acc)
 
@@ -292,7 +257,7 @@ class TruncatedSeries:
     def theta(self) -> "TruncatedSeries":
         """t * d/dt: c_n -> n c_n."""
         nums, den = self._egf
-        return TruncatedSeries._from_egf([n * c for n, c in enumerate(nums)], den)
+        return TruncatedSeries.from_egf([n * c for n, c in enumerate(nums)], den)
 
     def theta_inverse(self) -> "TruncatedSeries":
         """The inverse of theta on series with zero constant term: c_n -> c_n / n,
@@ -301,7 +266,7 @@ class TruncatedSeries:
         if nums[0] != 0:
             raise ValueError("theta_inverse needs a zero constant term")
         scale = math.lcm(*range(1, len(nums)))
-        return TruncatedSeries._from_egf(
+        return TruncatedSeries.from_egf(
             [0] + [c * (scale // n) for n, c in enumerate(nums[1:], 1)], den * scale
         )
 
@@ -313,8 +278,8 @@ class TruncatedSeries:
         g: Row = ((1,), 1)
         for m, row in zip(range(1, len(f)), _pascal_rows(0)):
             gs, lg = g
-            g = appended(g, [Fraction(sum(map(mul, map(mul, row, gs), f[m:0:-1])), lg * lf)])
-        return TruncatedSeries._from_egf(*g)
+            g = appended(g, [Fraction(_dot(row, gs, f[m:0:-1]), lg * lf)])
+        return TruncatedSeries.from_egf(*g)
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + self) for zero constant term: theta^-1(theta(self) / (1 + self))."""
@@ -333,16 +298,14 @@ class TruncatedSeries:
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self._egf[0]):
-            if c != 0:
-                return i
-        return None
+        return next((i for i, c in enumerate(self._egf[0]) if c), None)
 
 
-def reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list], Fraction]:
-    """The ``combinatorics.extend`` step of the egf coefficients q of 1/D(t),
+def reciprocal_step(d: Callable[[int], Fraction], egf: bool = True) -> Callable[[list], Fraction]:
+    """The ``combinatorics.extend`` step of the coefficients q of 1/D(t),
     D_0 = 1 and D_m = d(m): ``div_unit``'s forward substitution, one term per
-    call. q, D (ints over one common denominator each) and the binomial row
+    call, on egf coefficients or, with ``egf`` false, on raw ones (binomials
+    all 1). q, D (ints over one common denominator each) and the binomial row
     are replaced whole, so an interrupted step leaves them consistent; a term
     computed but never appended is handed out again."""
     state: tuple[Row, Row, list[int]] = (((1,), 1), ((1,), 1), [1])
@@ -354,7 +317,7 @@ def reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list], Fraction]:
         if len(q[0]) > n:
             return Fraction(q[0][n], q[1])
         ds = appended(ds, [d(n)])
-        row = [1, *map(add, row, row[1:]), 1]  # C(n, 0..n)
+        row = [1, *map(add, row, row[1:]), 1] if egf else [1] * (n + 1)  # C(n, 0..n)
         term = _quotient_term(0, 1, q, ds[0], ds[1], row)
         state = (appended(q, [term]), ds, row)
         return term
@@ -369,35 +332,31 @@ def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be non-negative")
 
+
 def _falling(a: int, c: int, n: int) -> list[int]:
     """(x)_j c^j = prod_{i<j} (a - i c) for x = a/c and j = 0..n, up to the
     first zero."""
-    out = [1]
-    for i in range(n):
-        nxt = out[-1] * (a - i * c)
-        if not nxt:
-            break
-        out.append(nxt)
-    return out
+    out = list(accumulate((a - i * c for i in range(n)), mul, initial=1))
+    return out[: out.index(0)] if 0 in out else out
 
 
 def _over_powers(nums: Sequence[int], c: int, order: int) -> TruncatedSeries:
     """The series with egf coefficients nums[j] / c^j (zero past nums)."""
     scaled = [x * c ** (order - j) for j, x in enumerate(nums)]
-    return TruncatedSeries._from_egf(scaled + [0] * (order + 1 - len(scaled)), c**order)
+    return TruncatedSeries.from_egf(scaled + [0] * (order + 1 - len(scaled)), c**order)
 
 
 def constant_series(value: object, order: int) -> TruncatedSeries:
     """The constant ``value`` as a series of the given order."""
     _check_order(order)
     value = Fraction(value)
-    return TruncatedSeries._from_egf((value.numerator,) + (0,) * order, value.denominator)
+    return TruncatedSeries.from_egf((value.numerator,) + (0,) * order, value.denominator)
 
 
 def t_series(order: int) -> TruncatedSeries:
     """The identity series t (just [0, 1, 0, ...] at the given order)."""
     _check_order(order)
-    return TruncatedSeries._from_egf(((0, 1) + (0,) * order)[: order + 1], 1)
+    return TruncatedSeries.from_egf(((0, 1) + (0,) * order)[: order + 1], 1)
 
 
 def exp_series(a: object, order: int) -> TruncatedSeries:
@@ -413,7 +372,7 @@ def log1p_series(order: int) -> TruncatedSeries:
     nums = [0, 1][: order + 1]
     for j in range(2, order + 1):
         nums.append(-(j - 1) * nums[-1])
-    return TruncatedSeries._from_egf(nums, 1)
+    return TruncatedSeries.from_egf(nums, 1)
 
 
 def pow1p_series(x: object, order: int) -> TruncatedSeries:
@@ -425,15 +384,10 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
 
 
 def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
-    """The egf coefficients of series * (1+t)^x at a rational x: the values
-    at x of a family whose generating function depends on x only through
-    the factor (1+t)^x.
-
-    With q_m = Q_m / L the series' egf coefficients as the kernel holds them
-    and x = a/c, (x)_j c^j = prod_{i<j} (a - i c), so b_n = sum_j C(n, j)
-    q_{n-j} (x)_j is the int sum sum_j C(n, j) Q_{n-j} c^(n-j) prod_{i<j}
-    (a - i c) over L c^n, reduced once. The products stop at the first zero
-    factor: at an integer x >= 0 only j <= x contribute.
+    """The egf coefficients of series * (1+t)^x at a rational x = a/c. With
+    the series' egf coefficients Q_m / L, b_n = sum_j C(n, j) q_(n-j) (x)_j
+    is the int sum of C(n, j) Q_(n-j) c^(n-j) (x)_j c^j over L c^n, where
+    (x)_j c^j = prod_{i<j} (a - i c) vanishes past j = x at an integer x >= 0.
     """
     x = Fraction(x)
     c = x.denominator
@@ -441,6 +395,6 @@ def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
     falling = _falling(x.numerator, c, series.order)
     scaled = [q * c**m for m, q in enumerate(nums)]  # Q_m c^m
     return tuple(
-        Fraction(sum(map(mul, map(mul, row, falling), scaled[n::-1])), den * c**n)
+        Fraction(_dot(row, falling, scaled[n::-1]), den * c**n)
         for n, row in zip(range(len(nums)), _pascal_rows(0))
     )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import naive_div, naive_mul, one_minus_exp_neg_coeffs
-from polybern.polynomial import Polynomial, X
+from polybern.polynomial import Polynomial, X, common_denominator
 from polybern.series import (
     TruncatedSeries,
     constant_series,
@@ -136,6 +136,33 @@ def test_compose_examples():
             brute[idx] += F(1, m * m) * power[idx]
         power = naive_mul(power, inner, 3)
     assert list(composed.coeffs) == brute == [F(0), F(1), F(-1, 4), F(1, 36)]
+
+
+def test_compose_multiplies_only_nonzero_terms(monkeypatch):
+    # The weights of Li_40 at order 30 composed with 2t: Horner's rule over
+    # the one nonzero inner term takes at most n (n + 1) / 2 products, where
+    # a dense inner loop would take about n^3 / 6.
+    n = 30
+    outer = TruncatedSeries([F(0)] + [F(1, m**40) for m in range(1, n + 1)])
+    inner = t_series(n) * 2
+    inner.coeffs
+    products = []
+    fraction_mul = F.__mul__
+    monkeypatch.setattr(F, "__mul__", lambda a, b: products.append(1) or fraction_mul(a, b))
+    composed = outer.compose(inner)
+    monkeypatch.undo()
+    assert len(products) <= n * (n + 1) // 2
+    assert composed.coeffs == tuple(c * 2**m for m, c in enumerate(outer.coeffs))
+
+
+def test_a_raw_series_goes_over_to_egf_ints_only_for_the_kernel():
+    # Weights 1/m^40 share no small denominator; reading, truncating and
+    # composing them keeps them raw, and the kernel converts them once.
+    s = TruncatedSeries([F(0)] + [F(1, m**40) for m in range(1, 13)])
+    assert s.truncate(5).coeffs == s.coeffs[:6]
+    assert s.compose(t_series(12)) == s
+    assert "_egf" not in s.__dict__ and "_egf" not in s.truncate(5).__dict__
+    assert (s * one(12)).coeffs == s.coeffs and "_egf" in s.__dict__
 
 
 def test_compose_rejects_nonzero_constant_term():
@@ -321,7 +348,9 @@ def test_pow1p_row_edge_points():
 def test_egf_round_trip(s):
     for n in range(s.order + 1):
         assert s.egf_coefficient(n) / math.factorial(n) == s.coeffs[n]
-    from_egf = TruncatedSeries.from_egf([s.egf_coefficient(n) for n in range(s.order + 1)])
+    from_egf = TruncatedSeries.from_egf(
+        *common_denominator([s.egf_coefficient(n) for n in range(s.order + 1)])
+    )
     assert from_egf == s and hash(from_egf) == hash(s) and from_egf.coeffs == s.coeffs
 
 
