@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -145,7 +147,6 @@ def test_compose_multiplies_only_nonzero_terms(monkeypatch):
     n = 30
     outer = TruncatedSeries([F(0)] + [F(1, m**40) for m in range(1, n + 1)])
     inner = t_series(n) * 2
-    inner.coeffs
     products = []
     fraction_mul = F.__mul__
     monkeypatch.setattr(F, "__mul__", lambda a, b: products.append(1) or fraction_mul(a, b))
@@ -163,6 +164,39 @@ def test_a_raw_series_goes_over_to_egf_ints_only_for_the_kernel():
     assert s.compose(t_series(12)) == s
     assert "_egf" not in s.__dict__ and "_egf" not in s.truncate(5).__dict__
     assert (s * one(12)).coeffs == s.coeffs and "_egf" in s.__dict__
+
+
+def test_threads_reading_one_series_both_ways_agree():
+    # Eight threads read the raw and the egf side of shared series that have
+    # only the other side yet; each side is derived on first use, and a race
+    # may derive it twice, never differently.
+    n = 60
+    kernel_built = [exp_series(F(k, 3), n) * log1p_series(n) for k in range(8)]
+    raw_built = [TruncatedSeries(s.coeffs) for s in kernel_built]
+    expected = [(s.coeffs, [s.egf_coefficient(m) for m in range(n + 1)]) for s in kernel_built]
+    kernel_built = [exp_series(F(k, 3), n) * log1p_series(n) for k in range(8)]
+    results = {}
+
+    def read(i):
+        results[i] = [
+            (a.coeffs, [b.egf_coefficient(m) for m in range(n + 1)])
+            for a, b in zip(kernel_built[i:] + kernel_built[:i], raw_built[i:] + raw_built[:i])
+        ]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for i, rows in results.items():
+        assert rows == expected[i:] + expected[:i]
 
 
 def test_compose_rejects_nonzero_constant_term():
