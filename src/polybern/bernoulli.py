@@ -71,14 +71,6 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
     return to_monomial_basis([binomial(n, j) * b[n - j] for j in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
-def bernoulli2nd_int_row(n: int) -> tuple[tuple[int, ...], int]:
-    """The coefficients of ``bernoulli2nd_poly(n)`` as ints over their least
-    common denominator, lowest power first."""
-    nums, den = common_denominator(bernoulli2nd_poly(n).coeffs)
-    return tuple(nums), den
-
-
 def _appell(p: Sequence[Fraction], n: int) -> Polynomial:
     """sum_j C(n, j) p_{n-j} x^j: the egf coefficient n of P(t) e^(x t),
     where p_0..p_n are the egf coefficients of P."""

@@ -18,14 +18,16 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bernoulli, polybernoulli
 from .combinatorics import stirling1, stirling2
-from .expr import ParseError, eval_expr, parse_expr
+from .expr import MAX_LITERAL_DIGITS, ParseError, eval_expr, parse_expr
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only, as in expr: "\d" would match any Unicode digit.
+_INT = "-?[0-9]+"
+_RATIONAL_RE = re.compile(f"{_INT}(/[1-9][0-9]*)?")
+_K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
 #: bound the cost only while |k| is small. On a 2-vCPU VM ``table --kind
@@ -60,45 +62,32 @@ def _unlimited_int_digits():
         set_limit(old)
 
 
+def _check_digits(text: str) -> None:
+    """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal."""
+    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", text)):
+        raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
+
+
 def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text.strip()):
+    if not _RATIONAL_RE.fullmatch(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
+    _check_digits(text)
     return Fraction(text.strip())
 
 
 def _parse_k_range(text: str) -> list[int]:
     text = text.strip()
-    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", text)
-    if m:
-        lo, hi = polybernoulli.check_k(int(m.group(1))), polybernoulli.check_k(int(m.group(2)))
-        if lo > hi:
-            raise ValueError(f"empty k range: {text!r}")
-        return list(range(lo, hi + 1))
-    if re.match(r"^-?\d+$", text):
-        return [polybernoulli.check_k(int(text))]
-    raise ValueError(f"not an integer or a..b range: {text!r}")
-
-
-@dataclass
-class SequenceTable:
-    """One emitted sequence: name, parameters, and (index, value) entries."""
-
-    sequence: str
-    params: dict[str, str]
-    entries: list[tuple[int, str]]
-
-    def to_csv(self) -> str:
-        lines = ["n,value"]
-        lines.extend(f"{n},{value}" for n, value in self.entries)
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        payload = {
-            "sequence": self.sequence,
-            "params": self.params,
-            "entries": [{"n": n, "value": value} for n, value in self.entries],
-        }
-        return json.dumps(payload, indent=2)
+    m = _K_RANGE_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"not an integer or a..b range: {text!r}")
+    _check_digits(text)
+    lo = polybernoulli.check_k(int(m.group(1)))
+    if m.group(2) is None:
+        return [lo]
+    hi = polybernoulli.check_k(int(m.group(2)))
+    if lo > hi:
+        raise ValueError(f"empty k range: {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _merge_value_flags(argv: list[str]) -> list[str]:
@@ -227,16 +216,21 @@ def _table_values(args, parser: argparse.ArgumentParser):
             bernoulli.higher_order_bernoulli_poly(n, n, point) for n in range(n_max + 1)
         ]
 
-    with _unlimited_int_digits():
-        return SequenceTable(kind, params, [(n, str(v)) for n, v in enumerate(values)])
+    return params, values
 
 
 def cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.n_max < 0:
         parser.error("--n-max must be >= 0")
     _check_cap(parser, "--n-max", args.n_max, MAX_TABLE_N)
-    table = _table_values(args, parser)
-    print(table.to_csv() if args.format == "csv" else table.to_json())
+    params, values = _table_values(args, parser)
+    with _unlimited_int_digits():
+        entries = [(n, str(v)) for n, v in enumerate(values)]
+    if args.format == "csv":
+        print("\n".join(["n,value", *(f"{n},{value}" for n, value in entries)]))
+    else:
+        rows = [{"n": n, "value": value} for n, value in entries]
+        print(json.dumps({"sequence": args.kind, "params": params, "entries": rows}, indent=2))
     return 0
 
 

@@ -31,8 +31,8 @@ is at most ``polybernoulli.MAX_ABS_K`` in absolute value. Each cap is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polybernoulli import MAX_ABS_K, polylog_series
 from .series import (
@@ -65,31 +65,26 @@ class _AllZeroDenominator(EvalError):
 # -- AST -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """The series variable t."""
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # 'add' | 'sub' | 'mul' | 'div'
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str  # 'exp' | 'log1p' | 'Li' | 'pow1p'
     args: tuple
 
@@ -103,8 +98,7 @@ MAX_EXPONENT = 1000
 _PUNCT = {"+", "-", "*", "/", "^", "(", ")", ","}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int' | 'name' | punctuation | 'end'
     text: str
     column: int

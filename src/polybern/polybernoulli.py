@@ -23,13 +23,11 @@ and returns a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .bernoulli import (
-    bernoulli2nd_int_row,
     bernoulli2nd_poly,
     bernoulli_numbers,
     higher_order_bernoulli_poly,
@@ -160,7 +158,6 @@ def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Va
     )
 
 
-@lru_cache(maxsize=None)
 def _li_coeff(n: int, k: int) -> Fraction:
     """a_n^(k) = sum_{m=1}^{n} (-1)^(n+m) m! S2(n, m) / m^k.
 
@@ -212,10 +209,11 @@ def _weights(family: str, k: int | None, n: int) -> tuple[tuple[int, ...], int]:
 
 def _b2nd_row(n: int, x: Fraction) -> tuple[list[int], int]:
     """b_0(x)..b_n(x) at a rational x as ints over one common denominator,
-    each by the homogeneous Horner rule on ``bernoulli2nd_int_row``: the
-    S1 basis change, not the gf's own x-shift ``pow1p_row``."""
+    each by the homogeneous Horner rule on the int row of
+    ``bernoulli2nd_poly(m)``: the S1 basis change, not the gf's own x-shift
+    ``pow1p_row``."""
     a, c = x.numerator, x.denominator
-    rows = [bernoulli2nd_int_row(m) for m in range(n + 1)]
+    rows = [bernoulli2nd_poly(m).int_row for m in range(n + 1)]
     den = math.lcm(*[d for _, d in rows])
     # b_m(a/c) = H_m / (d_m c^m), so over den c^n its numerator is
     # H_m (den / d_m) c^(n-m).
@@ -225,14 +223,13 @@ def _b2nd_row(n: int, x: Fraction) -> tuple[list[int], int]:
     ], den * c**n
 
 
-@lru_cache(maxsize=None)
 def _convolution(family: str, n: int, k: int | None) -> Polynomial:
     """The closed sum of ``family`` as a polynomial in x, for a symbolic point.
 
     The weights and each b_m(X) go over their common denominators, and the
     b_m over the lcm of theirs, so every coefficient is one int sum."""
     w, w_den = _weights(family, k, n)
-    polys = {l: bernoulli2nd_int_row(n - l) for l in range(n + 1) if w[l]}
+    polys = {l: bernoulli2nd_poly(n - l).int_row for l in range(n + 1) if w[l]}
     b_den = math.lcm(*[den for _, den in polys.values()])  # a list, as in common_denominator
     out = [0] * (n + 1)
     for l, (coeffs, den) in polys.items():
@@ -311,14 +308,14 @@ def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Fraction:
 # -- identity verification -----------------------------------------------
 
 
-@dataclass
 class VerificationReport:
     """Outcome of checking one identity over a finite parameter range."""
 
-    identity: str
-    range_spec: dict[str, str]
-    checked: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, identity: str, range_spec: dict[str, str]) -> None:
+        self.identity = identity
+        self.range_spec = range_spec
+        self.checked: list[dict] = []
+        self.failures: list[dict] = []
 
     @property
     def total(self) -> int:
@@ -341,8 +338,7 @@ Point = tuple[dict, object, object]
 Checker = Callable[[int, "tuple[int, ...] | None", "tuple[Value, ...] | None"], Iterator[Point]]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """A built-in identity; ``ks``/``xs`` are its default k range and x points,
     and ``None`` means the identity takes no such parameter."""
 
@@ -571,7 +567,7 @@ def verify_identity(
         ks = tuple(sorted(check_k(k) for k in (spec.ks if ks is None else ks)))
     if spec.xs is not None:
         xs = _sorted_points(normalize_point(x) for x in (spec.xs if xs is None else xs))
-    spec = replace(spec, ks=ks, xs=xs)
+    spec = spec._replace(ks=ks, xs=xs)
     report = VerificationReport(name, _describe_range(spec, n_max))
     for params, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):
         ok = lhs == rhs

@@ -14,29 +14,34 @@ change in ``combinatorics``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Polynomial in x with ``Fraction`` coefficients, lowest power first.
 
     Canonical form: no trailing zero coefficients are stored; the zero
-    polynomial stores an empty tuple. Instances are immutable, hashable,
-    and compare equal to plain numbers when they are constant.
+    polynomial stores an empty tuple. Instances are immutable by convention
+    (no method changes one after construction), hashable, and compare equal
+    to plain numbers when they are constant.
     """
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        cleaned = [Fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs: Iterable[Scalar]) -> None:
+        cleaned = [Fraction(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        self.coeffs = tuple(cleaned)
+
+    @cached_property
+    def int_row(self) -> tuple[tuple[int, ...], int]:
+        """The coefficients as ints over their least common denominator,
+        worked out on first use."""
+        nums, den = common_denominator(self.coeffs)
+        return tuple(nums), den
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -141,7 +146,7 @@ class Polynomial:
         """Evaluate exactly by Horner's rule.
 
         At a rational point a/b the rule is homogeneous: with the coefficients
-        c_i = C_i / L over their common denominator, p(a/b) is
+        c_i = C_i / L over their common denominator (``int_row``), p(a/b) is
         sum_i C_i a^i b^(n-i) over L b^n, summed in ints and reduced once.
         ``point`` may itself be a polynomial, in which case the result is the
         substituted polynomial (e.g. ``p(X + 1)`` shifts the argument);
@@ -157,7 +162,7 @@ class Polynomial:
             return result
         if not self.coeffs:
             return Fraction(0)
-        nums, den = common_denominator(self.coeffs)
+        nums, den = self.int_row
         a, b = point.numerator, point.denominator
         return Fraction(homogeneous_horner(nums, a, b), den * b ** (len(nums) - 1))
 
@@ -174,6 +179,9 @@ class Polynomial:
         if len(self.coeffs) <= 1:
             return hash(self.constant_term)
         return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -406,6 +406,58 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and err
 
 
+SEVENS = "7" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--kind", "poly2nd", "-k", "-3", "-n", "50", "--x", f"1/{SEVENS}"), None),
+        (("table", "--kind", "bernoulli", "-n", "200", "--x", f"1/{SEVENS}"), None),
+        (("table", "--kind", "bernoulli2nd", "-n", "3", "--x", "7" * 101), None),
+        (("table", "--kind", "higher-order", "-n", "3", "--x", "-" + "7" * 5000), None),
+        (("verify", "--identity", "thm1", "--n-max", "3", "--x", f"0,{SEVENS}/3"), None),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "1" * 101), None),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", f"1..{'2' * 101}"), None),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0661..\u0662"), "not an integer or a..b range"),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0663"), "not an integer or a..b range"),
+        (("verify", "--identity", "thm1", "--n-max", "3", "--x", "\u0661/2"), "not a rational literal"),
+        (("table", "--kind", "bernoulli", "-n", "3", "--x", "\uff11/2"), "not a rational literal"),
+    ],
+    ids=[
+        "poly2nd-4000-digits", "bernoulli-4000-digits", "bernoulli2nd-101-digits",
+        "higher-order-5000-digits", "verify-x-4000-digits", "verify-k-101-digits",
+        "verify-k-range-101-digits", "verify-k-arabic-indic-range", "verify-k-arabic-indic",
+        "verify-x-arabic-indic", "table-x-fullwidth",
+    ],
+)
+def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, monkeypatch, argv, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("poly_b2nd_values", "verify_identity"):
+        monkeypatch.setattr(polybernoulli, name, forbidden)
+    for name in ("bernoulli_values", "bernoulli2nd_values", "higher_order_bernoulli_poly"):
+        monkeypatch.setattr(bernoulli, name, forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    expected = message or "integer literal longer than 100 digits"
+    assert f"error: {expected}" in errors[0]
+    assert "set_int_max_str_digits" not in err
+
+
+def test_literals_at_the_digit_cap_run(capsys):
+    big, den = "7" * 100, "1" + "3" * 99
+    code, out, err = run_cli(capsys, "table", "--kind", "bernoulli", "-n", "1", "--x", f"-{big}/{den}")
+    assert code == 0 and not err
+    assert parse_csv(out) == [(0, F(1)), (1, F(-int(big), int(den)) - F(1, 2))]
+    code, out, err = run_cli(capsys, "verify", "--identity", "thm2", "--n-max", "1", "--k", "0..2", "--x", f"0,{big}")
+    assert code == 0 and not err
+    assert "range: n_max=1; k=0,1,2; x=0," + big in out
+
+
 # -- process-level smoke -------------------------------------------------------
 
 
@@ -417,6 +469,13 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["n,value", "0,1", "1,-1/2", "2,1/6"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, polybern.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_command_is_usage_error(capsys):

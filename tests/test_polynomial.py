@@ -129,3 +129,20 @@ def test_evaluation_edge_points():
             assert type(value) is F
             assert value == horner(list(q.coeffs), F(x))
     assert ZERO(F(2, 3)) == 0 and p(0) == F(2, 3) and p(-1) == F(-11, 6)
+
+
+def test_evaluation_puts_the_coefficients_over_their_denominator_once(monkeypatch):
+    from polybern import polynomial
+
+    calls = []
+    original = polynomial.common_denominator
+
+    def counted(values):
+        calls.append(1)
+        return original(values)
+
+    monkeypatch.setattr(polynomial, "common_denominator", counted)
+    p = F(3, 4) * X**3 - F(1, 6) * X + F(2, 5)
+    for x in (F(1, 2), F(-7, 3), 5, F(0)):
+        assert p(x) == horner(list(p.coeffs), F(x))
+    assert len(calls) == 1
