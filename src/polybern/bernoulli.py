@@ -13,26 +13,34 @@ mixes them freely: the familiar small values 1, 1/2, -1/12, 1/24, -19/720,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import mul, truediv
 from typing import Sequence, Union
 
-from .combinatorics import binomial, extend, to_monomial_basis
+from .combinatorics import binomial, extend, stirling1_row, to_monomial_basis
 from .polynomial import Polynomial, X, common_denominator, normalize_point
 from .series import TruncatedSeries, pow1p_row, reciprocal_step
 
 Scalar = Union[int, Fraction]
 
 
-# Grow-only prefixes of t/(e^t - 1) and t/log(1+t), the reciprocals of
-# (e^t - 1)/t and log(1+t)/t, each in the reading where the divisor is small:
-# the egf B_n from egf coefficients 1/(m+1), the raw G_n from raw (-1)^m/(m+1).
+# Grow-only prefixes of t/(e^t - 1), the reciprocal of (e^t - 1)/t whose egf
+# coefficients are 1/(m+1), and of t/log(1+t).
 _BERNOULLI = [Fraction(1)]
 _next_bernoulli = reciprocal_step(lambda m: Fraction(1, m + 1))
-_GREGORY = [Fraction(1)]
-_next_gregory = reciprocal_step(lambda m: Fraction((-1) ** m, m + 1), egf=False)
+_B2ND = [Fraction(1)]
+
+
+def _next_b2nd(seq: list) -> Fraction:
+    """b_n = sum_l S1(n, l) / (l+1), from t/log(1+t) = integral_0^1 (1+t)^x dx
+    and (1+t)^x = sum_n (x)_n t^n / n!: one int sum over lcm(1..n+1). The
+    caller grows the S1 rows first, so ``stirling1_row`` takes no lock here."""
+    n = len(seq)
+    den = math.lcm(*range(1, n + 2))
+    return Fraction(sum(s * (den // l) for l, s in enumerate(stirling1_row(n), 1)), den)
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -42,24 +50,26 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return extend(_BERNOULLI, n_max, _next_bernoulli)[: n_max + 1]
 
 
-def gregory_coefficients(n_max: int) -> list[Fraction]:
-    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t)."""
+def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
+    """b_0..b_{n_max} of the second kind: the egf coefficients of t/log(1+t)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return extend(_GREGORY, n_max, _next_gregory)[: n_max + 1]
+    stirling1_row(n_max)  # before extend, whose lock is not reentrant
+    return extend(_B2ND, n_max, _next_b2nd)[: n_max + 1]
 
 
-def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
-    """b_0..b_{n_max} of the second kind, exponential convention (n! * G_n)."""
+def gregory_coefficients(n_max: int) -> list[Fraction]:
+    """Raw t^n coefficients G_0..G_{n_max} of t/log(1+t): G_n = b_n / n!."""
     factorials = accumulate(range(1, n_max + 1), mul, initial=1)
-    return list(map(mul, gregory_coefficients(n_max), factorials))
+    return list(map(truediv, bernoulli2nd_numbers(n_max), factorials))
 
 
 def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
     """b_0(x)..b_{n_max}(x) at a rational x: the egf coefficients of
-    t/log(1+t) * (1+t)^x, from one ``gregory_coefficients`` call."""
+    t/log(1+t) * (1+t)^x, from one ``bernoulli2nd_numbers`` call."""
     x = normalize_point(x)
-    return pow1p_row(TruncatedSeries(gregory_coefficients(n_max)), x)
+    b = TruncatedSeries.from_egf(*common_denominator(bernoulli2nd_numbers(n_max)))
+    return pow1p_row(b, x)
 
 
 @lru_cache(maxsize=None)

@@ -32,9 +32,8 @@ _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
 #: bound the cost only while |k| is small. On a 2-vCPU VM ``table --kind
 #: poly2nd -n 1000`` takes 17 s at k = -3 and 48 s at k = 5, but each further
-#: rung of |k| costs 1-6 s downward and 9-19 s upward at that size, and
-#: |k| > n composes the dense 1 - e^(-t) by Horner's rule (120 s for
-#: ``-k 101 -n 100``). ``verify thm4``, which checks (n+1)^2 points per n,
+#: rung of |k| costs 1-6 s downward and 9-19 s upward at that size; ``-k 101
+#: -n 100`` takes 2 s. ``verify thm4``, which checks (n+1)^2 points per n,
 #: takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
 MAX_VERIFY_N = 50
@@ -66,6 +65,18 @@ def _check_digits(text: str) -> None:
     """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal."""
     if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", text)):
         raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
+
+
+def _int_flag(text: str) -> int:
+    """The ``type`` of every integer flag: the literal rule of ``--x`` and
+    ``--k``, with argparse's own wording for a value that is not an integer."""
+    try:
+        if not re.fullmatch(_INT, text.strip()):
+            raise ValueError(f"invalid int value: {text!r}")
+        _check_digits(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -126,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
             "higher-order",
         ],
     )
-    table.add_argument("-n", "--n-max", type=int, required=True, dest="n_max")
-    table.add_argument("-k", type=int, default=None, help="polylog order (poly2nd only)")
+    table.add_argument("-n", "--n-max", type=_int_flag, required=True, dest="n_max")
+    table.add_argument("-k", type=_int_flag, default=None, help="polylog order (poly2nd only)")
     table.add_argument("--x", default=None, help="evaluation point, rational literal p/q")
-    table.add_argument("--l", type=int, default=None, dest="l", help="triangle column (stirling kinds)")
+    table.add_argument("--l", type=_int_flag, default=None, dest="l", help="triangle column (stirling kinds)")
     table.add_argument("--convention", choices=["egf", "ogf"], default=None)
     table.add_argument("--format", choices=["csv", "json"], default="csv")
     table.set_defaults(func=cmd_table)
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(polybernoulli.IDENTITIES),
     )
-    verify.add_argument("--n-max", type=int, required=True, dest="n_max")
+    verify.add_argument("--n-max", type=_int_flag, required=True, dest="n_max")
     verify.add_argument("--k", default=None, help="int or a..b range")
     verify.add_argument("--x", default=None, help="comma list of rationals")
     verify.add_argument("--format", choices=["text", "json"], default="text")
@@ -148,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a series expression in t")
     ev.add_argument("--expr", required=True)
-    ev.add_argument("--order", type=int, required=True)
+    ev.add_argument("--order", type=_int_flag, required=True)
     ev.add_argument("--egf", action="store_true", help="print n!*c_n instead of raw c_n")
     ev.set_defaults(func=cmd_eval)
 

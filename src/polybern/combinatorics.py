@@ -6,7 +6,8 @@ numbers of the first kind S1(n, l) go the other way ((x)_n =
 sum_l S1(n, l) x^l). Only the signed first-kind convention is exposed.
 Rows are memoized as int tuples (see ``extend``); ``stirling1``/``stirling2``
 return ``Fraction`` (denominator 1) so they flow straight into series
-arithmetic, and ``stirling2_row`` hands out a cached row of ints.
+arithmetic, and ``stirling1_row``/``stirling2_row`` hand out a cached row of
+ints.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ def stirling1(n: int, l: int) -> Fraction:
 def stirling2_row(n: int) -> tuple[int, ...]:
     """S2(n, 0..n) as ints, the cached row itself."""
     return _row(_STIRLING2_ROWS, _next_stirling2_row, n)
+
+
+def stirling1_row(n: int) -> tuple[int, ...]:
+    """S1(n, 0..n) as ints, the cached row itself."""
+    return _row(_STIRLING1_ROWS, _next_stirling1_row, n)
 
 
 def to_falling_basis(p: Polynomial) -> list[Fraction]:

@@ -1,8 +1,7 @@
 """Univariate polynomials over exact rationals.
 
-Deliberately minimal: addition, multiplication, scalar division, exact
-evaluation and substitution, and Newton interpolation through rational
-points. There is no polynomial division.
+Deliberately minimal: addition, multiplication, scalar division, and exact
+evaluation and substitution. There is no polynomial division.
 
 ``common_denominator`` puts rationals over their least common denominator,
 so a sum of products runs in ``int``s and reduces once per result rather
@@ -248,33 +247,6 @@ def homogeneous_horner(nums: Sequence[int], a: int, b: int) -> int:
         scale *= b
         acc = acc * a + c * scale
     return acc
-
-
-def interpolate(points: Iterable[Scalar], values: Iterable[Scalar]) -> Polynomial:
-    """The polynomial of degree < len(points) through (points[i], values[i]).
-
-    Newton's divided differences c_i = f[x_0..x_i], then Horner's rule on the
-    Newton form c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), one linear
-    factor at a time: O(n^2) operations for n points.
-    """
-    xs = list(points)
-    cs = [Fraction(v) for v in values]
-    if len(xs) != len(cs):
-        raise ValueError("interpolation needs one value per point")
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must be distinct")
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    out: list[Fraction] = []
-    for x_i, c_i in zip(reversed(xs), reversed(cs)):
-        # out <- out * (x - x_i) + c_i
-        out = [Fraction(0)] + out
-        for d in range(len(out) - 1):
-            out[d] -= x_i * out[d + 1]
-        out[0] += c_i
-    return Polynomial(tuple(out))
 
 
 ZERO = Polynomial(())

@@ -227,7 +227,7 @@ class TruncatedSeries:
         """self(inner(t)) for ``inner`` with zero constant term: Horner's rule
         on the raw coefficients, outside the kernel, over the nonzero terms of
         inner. It is the test oracle of ``exp``, ``log1p`` and the polylog
-        ladder, and the polylog of ``polylog_series`` at |k| >= N."""
+        ladder, and the polylog of ``polylog_series`` at large |k|."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._check_compatible(inner)
@@ -245,6 +245,12 @@ class TruncatedSeries:
                         nxt[i + j] += x * y
             acc = nxt
         return TruncatedSeries(acc)
+
+    def _nonzero_terms(self) -> int:
+        """The number of nonzero coefficients, counted in whichever reading
+        the series already holds."""
+        held = self.__dict__["coeffs"] if "coeffs" in self.__dict__ else self._egf[0]
+        return len(held) - held.count(0)
 
     def _require_no_constant_term(self) -> None:
         if self._egf[0][0] != 0:
@@ -301,11 +307,10 @@ class TruncatedSeries:
         return next((i for i, c in enumerate(self._egf[0]) if c), None)
 
 
-def reciprocal_step(d: Callable[[int], Fraction], egf: bool = True) -> Callable[[list], Fraction]:
-    """The ``combinatorics.extend`` step of the coefficients q of 1/D(t),
+def reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list], Fraction]:
+    """The ``combinatorics.extend`` step of the egf coefficients q of 1/D(t),
     D_0 = 1 and D_m = d(m): ``div_unit``'s forward substitution, one term per
-    call, on egf coefficients or, with ``egf`` false, on raw ones (binomials
-    all 1). q, D (ints over one common denominator each) and the binomial row
+    call. q, D (ints over one common denominator each) and the binomial row
     are replaced whole, so an interrupted step leaves them consistent; a term
     computed but never appended is handed out again."""
     state: tuple[Row, Row, list[int]] = (((1,), 1), ((1,), 1), [1])
@@ -317,7 +322,7 @@ def reciprocal_step(d: Callable[[int], Fraction], egf: bool = True) -> Callable[
         if len(q[0]) > n:
             return Fraction(q[0][n], q[1])
         ds = appended(ds, [d(n)])
-        row = [1, *map(add, row, row[1:]), 1] if egf else [1] * (n + 1)  # C(n, 0..n)
+        row = [1, *map(add, row, row[1:]), 1]  # C(n, 0..n)
         term = _quotient_term(0, 1, q, ds[0], ds[1], row)
         state = (appended(q, [term]), ds, row)
         return term

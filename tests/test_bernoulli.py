@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import naive_mul
-from polybern import bernoulli, series
+from polybern import bernoulli, combinatorics, series
 from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
@@ -18,7 +18,7 @@ from polybern.bernoulli import (
     higher_order_bernoulli_poly,
 )
 from polybern.polybernoulli import verify_identity
-from polybern.polynomial import Polynomial, X, interpolate
+from polybern.polynomial import Polynomial, X
 from polybern.series import TruncatedSeries, log1p_series, pow1p_series, t_series
 
 
@@ -131,6 +131,22 @@ def test_concurrent_growth_appends_each_term_once():
         assert gregory == gregory_coefficients(n)
 
 
+def test_second_kind_numbers_grow_from_empty_stirling_rows(monkeypatch):
+    # Each b_n reads S1 row n, which bernoulli2nd_numbers grows before it
+    # takes extend's lock: growing it inside would take the lock again. The
+    # lock is a fresh one, so a hung thread holds no lock other tests take.
+    fresh = fresh_bernoulli_module()
+    monkeypatch.setattr(combinatorics, "_STIRLING1_ROWS", [(1,)])
+    monkeypatch.setattr(combinatorics, "_grow_lock", threading.Lock())
+    results = []
+    thread = threading.Thread(target=lambda: results.append(fresh.bernoulli2nd_numbers(30)), daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "bernoulli2nd_numbers hung"
+    assert results == [bernoulli2nd_numbers(30)]
+    assert len(combinatorics._STIRLING1_ROWS) == 31
+
+
 def test_an_interrupted_step_leaves_the_recurrence_intact():
     # The egf step of t/(e^t - 1), interrupted once while it grows D to
     # D_2 = 1/3, and once more after it computed a term that was never
@@ -162,13 +178,14 @@ def test_second_kind_polynomials():
 
 def test_second_kind_polynomials_match_generating_function():
     # Cross-check the basis expansion against egf coefficients of
-    # t/log(1+t) * (1+t)^x at x = 0..n, interpolated to a polynomial.
+    # t/log(1+t) * (1+t)^x at x = 0..n: two polynomials of degree n that
+    # agree at n + 1 points are equal.
     n_max = 25
     quotient = t_series(n_max + 1).div_valuation(log1p_series(n_max + 1), 1)
     rows = [pow1p_series(F(i), n_max) * quotient for i in range(n_max + 1)]
     for n in range(n_max + 1):
         values = [row.egf_coefficient(n) for row in rows[: n + 1]]
-        assert bernoulli2nd_poly(n) == interpolate(range(n + 1), values)
+        assert [bernoulli2nd_poly(n)(i) for i in range(n + 1)] == values
 
 
 def test_second_kind_values_match_the_polynomials():

@@ -229,6 +229,24 @@ def test_verify_forced_failure_exits_one(capsys, monkeypatch):
     assert "lhs: 1" in out and "rhs: 2" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failing_eq9_point_shows_both_value_lists_as_rationals(capsys, monkeypatch, fmt):
+    original = polybernoulli.bernoulli2nd_poly
+    monkeypatch.setattr(
+        polybernoulli, "bernoulli2nd_poly", lambda n: original(n) + F(1, 2) if n == 2 else original(n)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--identity", "eq9", "--n-max", "3", "--format", fmt)
+    assert code == 1 and "Fraction(" not in out
+    # b_2(x) = x^2 - 1/6 at x = 0, 1, 2 from the gf, against b_2(x) + 1/2.
+    lhs, rhs = "[-1/6, 5/6, 23/6]", "[1/3, 4/3, 13/3]"
+    if fmt == "text":
+        assert "failures: 1 of 4" in out and "first counterexample: n=2, x=x" in out
+        assert f"  lhs: {lhs}" in out.splitlines() and f"  rhs: {rhs}" in out.splitlines()
+    else:
+        failure = json.loads(out)["failures"]
+        assert failure == [{"params": {"n": 2, "x": "x"}, "lhs": lhs, "rhs": rhs}]
+
+
 def test_verify_usage_errors(capsys):
     cases = [
         ("verify", "--identity", "nope", "--n-max", "3"),
@@ -423,12 +441,22 @@ SEVENS = "7" * 4000
         (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0663"), "not an integer or a..b range"),
         (("verify", "--identity", "thm1", "--n-max", "3", "--x", "\u0661/2"), "not a rational literal"),
         (("table", "--kind", "bernoulli", "-n", "3", "--x", "\uff11/2"), "not a rational literal"),
+        (("table", "--kind", "bernoulli", "-n", "\u0663"), "argument -n/--n-max: invalid int value: '\u0663'"),
+        (("eval", "--expr", "t", "--order", "\uff12"), "argument --order: invalid int value: '\uff12'"),
+        (("table", "--kind", "stirling2", "-n", "3", "--l", "\uff13"), "argument --l: invalid int value: '\uff13'"),
+        (("verify", "--identity", "thm2", "--n-max", "\u0663"), "argument --n-max: invalid int value: '\u0663'"),
+        (("table", "--kind", "poly2nd", "-k", "\u0662", "-n", "2"), "argument -k: invalid int value: '\u0662'"),
+        (("table", "--kind", "bernoulli", "-n", "1_0"), "argument -n/--n-max: invalid int value: '1_0'"),
+        (("table", "--kind", "poly2nd", "-k", SEVENS, "-n", "2"), "argument -k: integer literal longer than 100 digits"),
+        (("eval", "--expr", "t", "--order", "2" * 101), "argument --order: integer literal longer than 100 digits"),
     ],
     ids=[
         "poly2nd-4000-digits", "bernoulli-4000-digits", "bernoulli2nd-101-digits",
         "higher-order-5000-digits", "verify-x-4000-digits", "verify-k-101-digits",
         "verify-k-range-101-digits", "verify-k-arabic-indic-range", "verify-k-arabic-indic",
-        "verify-x-arabic-indic", "table-x-fullwidth",
+        "verify-x-arabic-indic", "table-x-fullwidth", "table-n-arabic-indic", "eval-order-fullwidth",
+        "table-l-fullwidth", "verify-n-max-arabic-indic", "table-k-arabic-indic", "table-n-underscore",
+        "table-k-4000-digits", "eval-order-101-digits",
     ],
 )
 def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, monkeypatch, argv, message):
@@ -437,8 +465,10 @@ def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, mon
 
     for name in ("poly_b2nd_values", "verify_identity"):
         monkeypatch.setattr(polybernoulli, name, forbidden)
-    for name in ("bernoulli_values", "bernoulli2nd_values", "higher_order_bernoulli_poly"):
+    for name in ("bernoulli_numbers", "bernoulli_values", "bernoulli2nd_values", "higher_order_bernoulli_poly"):
         monkeypatch.setattr(bernoulli, name, forbidden)
+    for name in ("eval_expr", "stirling2"):
+        monkeypatch.setattr(cli, name, forbidden)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -456,6 +486,9 @@ def test_literals_at_the_digit_cap_run(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "thm2", "--n-max", "1", "--k", "0..2", "--x", f"0,{big}")
     assert code == 0 and not err
     assert "range: n_max=1; k=0,1,2; x=0," + big in out
+    code, out, err = run_cli(capsys, "table", "--kind", "poly2nd", "-k", "-" + "0" * 99 + "2", "-n", "1")
+    assert code == 0 and not err
+    assert out.splitlines() == ["n,value", "0,1", "1,4"]  # b_1^(k) = 2^(-k)
 
 
 # -- process-level smoke -------------------------------------------------------

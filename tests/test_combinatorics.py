@@ -11,6 +11,7 @@ from polybern.combinatorics import (
     falling_factorial_poly,
     stirling1,
     stirling2,
+    stirling1_row,
     stirling2_row,
     to_falling_basis,
     to_monomial_basis,
@@ -150,3 +151,7 @@ def test_stirling_values_are_fractions_over_int_rows():
     assert all(type(s) is int for s in stirling2_row(12))
     with pytest.raises(ValueError):
         stirling2_row(-1)
+    assert stirling1_row(5) == (0, 24, -50, 35, -10, 1)
+    assert all(type(s) is int for s in stirling1_row(12))
+    with pytest.raises(ValueError):
+        stirling1_row(-1)

@@ -1,4 +1,5 @@
 import importlib
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import naive_div
 from polybern.expr import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -264,6 +266,15 @@ def test_eval_examples():
     assert ev("exp(t)*exp(-t)", 6) == constant_series(F(1), 6)
     assert ev("Li(2, 1-exp(-t))/log1p(t)", 2).coeffs == (F(1), F(1, 4), F(-13, 72))
     assert ev("log1p(exp(t)-1)", 4) == t_series(4)
+
+
+def test_eval_unit_denominator_matches_the_naive_quotient():
+    # A denominator with a nonzero constant term divides without a shift,
+    # as in the benchmark's exp(a*t) / (1 - b*t)^2.
+    order = 9
+    num = [F(2) ** j / F(math.factorial(j)) for j in range(order + 1)]
+    den = [F(1), F(-6), F(9)] + [F(0)] * (order - 2)
+    assert list(ev("exp(2*t)/(1-3*t)^2", order).coeffs) == naive_div(num, den, order)
 
 
 def test_eval_zero_denominator():

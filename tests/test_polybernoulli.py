@@ -59,6 +59,7 @@ def test_polylog_rejects_nonzero_constant_term():
 
 
 def test_polylog_routes_only_large_k_through_horner(monkeypatch):
+    assert polybernoulli.HORNER_PER_TERM == 20
     composed = []
     original = TruncatedSeries.compose
 
@@ -72,11 +73,31 @@ def test_polylog_routes_only_large_k_through_horner(monkeypatch):
     composed.clear()
     polylog_series(3, one_minus_exp_neg(40))
     assert composed == []
-    # |k| >= order takes Horner's rule, |k| < order the differential equation.
-    for k in (-40, -39, 39, 40):
+    # |k| >= 20 s takes Horner's rule, s the nonzero terms of the inner
+    # series, and |k| < 20 s the differential equation, whatever the order.
+    t_plus_t3 = TruncatedSeries([0, 1, 0, 1] + [0] * 37)
+    for inner, s in ((t_series(40), 1), (t_plus_t3, 2), (t_series(5), 1)):
+        for k in (-20 * s, -20 * s + 1, 20 * s - 1, 20 * s):
+            composed.clear()
+            polylog_series(k, inner)
+            assert composed == ([inner.order] if abs(k) >= 20 * s else []), (s, k)
+    # A dense inner series takes the ladder even for |k| >= N.
+    for k in (-41, 41):
         composed.clear()
-        polylog_series(k, t_series(40))
-        assert composed == ([40] if abs(k) >= 40 else [])
+        polylog_series(k, one_minus_exp_neg(40))
+        assert composed == []
+
+
+def test_the_route_counts_terms_in_the_reading_the_series_holds():
+    raw, egf = TruncatedSeries([0, 1, 0, F(-1, 3)]), t_series(3)
+    assert raw._nonzero_terms() == 2 and "_egf" not in vars(raw)
+    assert egf._nonzero_terms() == 1 and "coeffs" not in vars(egf)
+
+
+def test_polylog_of_the_zero_series_is_zero():
+    zero = TruncatedSeries([0] * 6)
+    for k in (-2, -1, 0, 1, 2, 7, -7):
+        assert polylog_series(k, zero) == zero, k
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -438,9 +459,28 @@ def test_symbolic_identities_share_no_basis_change(monkeypatch, name):
         raise AssertionError("reached a Stirling basis change")
 
     for module in (combinatorics, polybernoulli, bernoulli):
-        for name_ in ("to_monomial_basis", "stirling1", "stirling2"):
+        for name_ in ("to_monomial_basis", "stirling1", "stirling2", "stirling1_row", "stirling2_row"):
             monkeypatch.setattr(module, name_, forbidden, raising=False)
     assert verify_identity(name, 8).passed
+
+
+def test_eq2_catches_a_wrong_series_quotient(monkeypatch):
+    # The gf side of eq2 divides series by _quotient_term; bernoulli2nd_poly
+    # must not, or a sign error there would pass on both sides. Both caches
+    # behind bernoulli2nd_poly start empty, so it is rebuilt under the error.
+
+    def flipped(a_m, la, q, b, lb, row):
+        qs, lq = q
+        s = series._dot(row, qs, b[len(qs):0:-1])
+        return F(a_m * lq * lb + la * s, la * lq * b[0])
+
+    monkeypatch.setattr(series, "_quotient_term", flipped)
+    monkeypatch.setattr(bernoulli, "_B2ND", [F(1)])
+    bernoulli2nd_poly.cache_clear()
+    try:
+        assert not verify_identity("eq2", 12).passed
+    finally:
+        bernoulli2nd_poly.cache_clear()
 
 
 # -- caches ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import horner
-from polybern.polynomial import ONE, ZERO, Polynomial, X, common_denominator, interpolate
+from polybern.polynomial import ONE, ZERO, Polynomial, X, common_denominator
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -22,6 +22,8 @@ def test_arithmetic():
     assert X - X == ZERO
     assert 2 * X == X + X
     assert (X * X - X) / 2 == Polynomial((0, F(-1, 2), F(1, 2)))
+    assert 3 - X == -X + 3
+    assert F(1, 2) - X * X == Polynomial((F(1, 2), 0, -1))
 
 
 def test_evaluation_is_exact():
@@ -76,25 +78,6 @@ def test_coefficient_access():
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
-
-
-@given(st.lists(rationals, max_size=13), st.data())
-def test_interpolate_round_trips(coeffs, data):
-    # A polynomial of degree <= 12 through distinct random rationals, at
-    # least degree + 1 of them, comes back unchanged.
-    p = Polynomial(tuple(coeffs))
-    xs = data.draw(st.lists(rationals, min_size=max(len(p.coeffs), 1), max_size=13, unique=True))
-    assert interpolate(xs, [p(x) for x in xs]) == p
-
-
-def test_interpolate_examples_and_errors():
-    assert interpolate([], []) == ZERO
-    assert interpolate([F(1, 3)], [F(5)]) == Polynomial.constant(5)
-    assert interpolate(range(3), [0, 1, 4]) == X * X
-    with pytest.raises(ValueError, match="distinct"):
-        interpolate([1, 1], [2, 3])
-    with pytest.raises(ValueError, match="one value per point"):
-        interpolate([1, 2], [3])
 
 
 @given(st.lists(rationals, max_size=13))
