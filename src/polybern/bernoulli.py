@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import mul, truediv
 from typing import Sequence, Union
 
-from .combinatorics import binomial, extend, stirling1_row, to_monomial_basis
+from .combinatorics import binomial, binomial_falling_poly, extend, stirling1_row
 from .polynomial import Polynomial, X, common_denominator, normalize_point
 from .series import TruncatedSeries, pow1p_row, reciprocal_step
 
@@ -77,8 +77,7 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
     """b_n(x) = sum_l C(n, l) b_l (x)_{n-l}, assembled in the monomial basis."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    b = bernoulli2nd_numbers(n)
-    return to_monomial_basis([binomial(n, j) * b[n - j] for j in range(n + 1)])
+    return binomial_falling_poly(common_denominator(bernoulli2nd_numbers(n)), n)
 
 
 def _appell(p: Sequence[Fraction], n: int) -> Polynomial:

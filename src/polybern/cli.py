@@ -8,21 +8,23 @@ Commands
 Exit codes: 0 success/pass, 1 verification or evaluation failure, 2 usage
 error. All values are printed as exact rationals ("p/q" or an integer),
 never as floats.
+
+Each command imports the modules it runs when it runs, so ``--help`` and a
+table of Bernoulli numbers never load the polylog or the expression parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bernoulli, polybernoulli
-from .combinatorics import stirling1, stirling2
-from .expr import MAX_LITERAL_DIGITS, ParseError, eval_expr, parse_expr
+if TYPE_CHECKING:
+    from .polybernoulli import VerificationReport
 
 # ASCII digits only, as in expr: "\d" would match any Unicode digit.
 _INT = "-?[0-9]+"
@@ -63,6 +65,8 @@ def _unlimited_int_digits():
 
 def _check_digits(text: str) -> None:
     """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal."""
+    from .caps import MAX_LITERAL_DIGITS
+
     if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", text)):
         raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
 
@@ -92,10 +96,12 @@ def _parse_k_range(text: str) -> list[int]:
     if not m:
         raise ValueError(f"not an integer or a..b range: {text!r}")
     _check_digits(text)
-    lo = polybernoulli.check_k(int(m.group(1)))
+    from .caps import check_k
+
+    lo = check_k(int(m.group(1)))
     if m.group(2) is None:
         return [lo]
-    hi = polybernoulli.check_k(int(m.group(2)))
+    hi = check_k(int(m.group(2)))
     if lo > hi:
         raise ValueError(f"empty k range: {text!r}")
     return list(range(lo, hi + 1))
@@ -115,6 +121,17 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
             out.append(tok)
             i += 1
     return out
+
+
+class _IdentityNames:
+    """The ``--identity`` choices: the sorted names of
+    ``polybernoulli.IDENTITIES``, which is imported when argparse first
+    checks a value (``in`` iterates) or formats the help."""
+
+    def __iter__(self):
+        from .polybernoulli import IDENTITIES
+
+        return iter(sorted(IDENTITIES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,11 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="check a built-in identity exactly")
-    verify.add_argument(
-        "--identity",
-        required=True,
-        choices=sorted(polybernoulli.IDENTITIES),
-    )
+    # Set after add_argument, which would otherwise read the names at once.
+    verify.add_argument("--identity", required=True).choices = _IdentityNames()
     verify.add_argument("--n-max", type=_int_flag, required=True, dest="n_max")
     verify.add_argument("--k", default=None, help="int or a..b range")
     verify.add_argument("--x", default=None, help="comma list of rationals")
@@ -187,6 +201,8 @@ def _table_values(args, parser: argparse.ArgumentParser):
         except ValueError as exc:
             parser.error(str(exc))
 
+    from . import bernoulli, combinatorics
+
     if kind == "bernoulli":
         if x is None:
             values = bernoulli.bernoulli_numbers(n_max)
@@ -206,19 +222,21 @@ def _table_values(args, parser: argparse.ArgumentParser):
     elif kind == "poly2nd":
         if args.k is None:
             parser.error("--kind poly2nd requires -k")
+        from .polybernoulli import check_k, poly_b2nd_values
+
         try:
-            polybernoulli.check_k(args.k)
+            check_k(args.k)
         except ValueError as exc:
             parser.error(str(exc))
         params["k"] = str(args.k)
         point = x if x is not None else Fraction(0)
         params["x"] = str(point)
-        values = polybernoulli.poly_b2nd_values(n_max, args.k, point)
+        values = poly_b2nd_values(n_max, args.k, point)
     elif kind in ("stirling1", "stirling2"):
         if args.l is None:
             parser.error(f"--kind {kind} requires --l (triangle column)")
         params["l"] = str(args.l)
-        fn = stirling1 if kind == "stirling1" else stirling2
+        fn = combinatorics.stirling1 if kind == "stirling1" else combinatorics.stirling2
         values = [fn(n, args.l) for n in range(n_max + 1)]
     else:  # higher-order
         point = x if x is not None else Fraction(0)
@@ -240,12 +258,14 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.format == "csv":
         print("\n".join(["n,value", *(f"{n},{value}" for n, value in entries)]))
     else:
+        import json
+
         rows = [{"n": n, "value": value} for n, value in entries]
         print(json.dumps({"sequence": args.kind, "params": params, "entries": rows}, indent=2))
     return 0
 
 
-def _report_text(report: polybernoulli.VerificationReport) -> str:
+def _report_text(report: VerificationReport) -> str:
     lines = [f"identity: {report.identity}"]
     lines.append(
         "range: " + "; ".join(f"{k}={v}" for k, v in report.range_spec.items())
@@ -262,7 +282,9 @@ def _report_text(report: polybernoulli.VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def _report_json(report: polybernoulli.VerificationReport) -> str:
+def _report_json(report: VerificationReport) -> str:
+    import json
+
     return json.dumps(
         {
             "identity": report.identity,
@@ -289,9 +311,11 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
                 raise ValueError("--x needs at least one rational")
     except ValueError as exc:
         parser.error(str(exc))
+    from .polybernoulli import verify_identity
+
     with _unlimited_int_digits():  # the report holds the values as strings
         try:
-            report = polybernoulli.verify_identity(args.identity, args.n_max, ks, xs)
+            report = verify_identity(args.identity, args.n_max, ks, xs)
         except ValueError as exc:
             parser.error(str(exc))
         print(_report_text(report) if args.format == "text" else _report_json(report))
@@ -302,6 +326,8 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     if args.order < 0:
         parser.error("--order must be >= 0")
     _check_cap(parser, "--order", args.order, MAX_ORDER)
+    from .expr import ParseError, eval_expr, parse_expr
+
     try:
         series = eval_expr(parse_expr(args.expr), args.order)
     except (ParseError, ValueError) as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .polynomial import Polynomial, X, common_denominator
 
@@ -137,13 +137,9 @@ def to_falling_basis(p: Polynomial) -> list[Fraction]:
     return out
 
 
-def to_monomial_basis(d: list[Fraction]) -> Polynomial:
-    """Expand sum_l d_l (x)_l back to monomial coefficients.
-
-    The d_l go over their common denominator, so each coefficient
-    sum_l d_l S1(l, i) is summed in ints and reduced once.
-    """
-    nums, den = common_denominator(d)
+def _from_falling(nums: Sequence[int], den: int) -> Polynomial:
+    """sum_l (nums[l] / den) (x)_l in the monomial basis: each coefficient
+    sum_l nums[l] S1(l, i) is summed in ints and reduced once."""
     rows = extend(_STIRLING1_ROWS, len(nums) - 1, _next_stirling1_row)
     out = [0] * len(nums)
     for l, c in enumerate(nums):
@@ -151,3 +147,18 @@ def to_monomial_basis(d: list[Fraction]) -> Polynomial:
             for i, s in enumerate(rows[l]):
                 out[i] += c * s
     return Polynomial(tuple(Fraction(c, den) for c in out))
+
+
+def to_monomial_basis(d: list[Fraction]) -> Polynomial:
+    """Expand sum_l d_l (x)_l back to monomial coefficients, with the d_l
+    over their common denominator."""
+    return _from_falling(*common_denominator(d))
+
+
+def binomial_falling_poly(row: tuple[Sequence[int], int], n: int) -> Polynomial:
+    """sum_j C(n, j) v_(n-j) (x)_j in the monomial basis, for the values
+    v_m = nums[m] / den of ``row`` = (nums, den): the egf coefficient n of
+    V(t) (1+t)^x, where V has egf coefficients v. The products
+    C(n, j) nums[n-j] stay ints, so each coefficient is reduced once."""
+    nums, den = row
+    return _from_falling([math.comb(n, j) * nums[n - j] for j in range(n + 1)], den)

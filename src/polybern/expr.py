@@ -25,8 +25,10 @@ exhaust the interpreter stack. An integer literal has at most
 ``MAX_EXPONENT``, and so is the product of the exponents along any chain of
 nested powers (``(2^40)^40`` multiplies to 1600), so a literal raised to
 powers stays small enough to compute and print quickly. The order of ``Li``
-is at most ``polybernoulli.MAX_ABS_K`` in absolute value. Each cap is a
-``ParseError`` at the offending token, before anything is evaluated.
+is at most ``MAX_ABS_K`` in absolute value. Each cap is a ``ParseError`` at
+the offending token, before anything is evaluated. The literal and ``Li``
+caps live in ``caps``; ``polybernoulli`` is imported only to evaluate a
+``Li``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polybernoulli import MAX_ABS_K, polylog_series
+from .caps import MAX_ABS_K, MAX_LITERAL_DIGITS
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -90,7 +92,6 @@ class Call(NamedTuple):
 
 
 MAX_DEPTH = 100
-MAX_LITERAL_DIGITS = 100
 MAX_EXPONENT = 1000
 
 # -- tokenizer -----------------------------------------------------------
@@ -339,6 +340,8 @@ def _eval_at(node: object, order: int) -> TruncatedSeries:
         if node.name == "pow1p":
             return pow1p_series(node.args[0], order)
         if node.name == "Li":
+            from .polybernoulli import polylog_series
+
             return polylog_series(node.args[0], _eval_at(node.args[1], order))
         inner = _eval_at(node.args[0], order)
         return inner.exp() if node.name == "exp" else inner.log1p()

@@ -32,7 +32,8 @@ from .bernoulli import (
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
-from .combinatorics import binomial, stirling1, stirling2, stirling2_row, to_monomial_basis
+from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
+from .combinatorics import binomial_falling_poly, stirling1, stirling2, stirling2_row
 from .polynomial import (
     Polynomial,
     X,
@@ -54,30 +55,17 @@ Scalar = Union[int, Fraction]
 Value = Union[Fraction, Polynomial]
 
 
-#: The largest |k| of a polylog order. For |k| >= N the weights m^(-k),
-#: m <= N, have |k| log2(N) bits, so |k| bounds the size of exact values.
-MAX_ABS_K = 20_000
-
-
-def check_k(k: int) -> int:
-    """``k`` itself if it is an ``int`` of at most ``MAX_ABS_K`` in absolute
-    value; else ``TypeError`` or ``ValueError``."""
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an int, not {type(k).__name__}")
-    if abs(k) > MAX_ABS_K:
-        raise ValueError(f"|k| must be at most {MAX_ABS_K}, not {abs(k)}")
-    return k
-
-
-#: Horner's rule computes Li_k(f) when |k| is at least this many times the
-#: number of nonzero terms of f. Measured on a 2-vCPU VM, each route alone
-#: with the ladder started from Li_0: on f = t at N = 200 they tie near
-#: k = 15 and -30, and Horner takes 0.08 s against 15 s at k = 150; on
-#: t + t^3 they tie near k = 45 and -25; on the dense 1 - e^(-t) at N = 60
-#: the ladder takes 0.12 s against 5.2 s at k = 61, and at N = 30 it still
-#: wins at k = 500 (2.2 s against 4.4 s) but loses at k = -500 (0.17 s
-#: against 0.10 s).
-HORNER_PER_TERM = 20
+#: Horner's rule computes Li_k(f) when k >= HORNER_PER_TERM_POS_K * s or
+#: k <= -HORNER_PER_TERM_NEG_K * s, s the number of nonzero terms of f.
+#: Horner's weights 1/m^k grow with k > 0, while m^|k| for k < 0 are ints,
+#: so k > 0 stays on the ladder longer. Each route alone on a 2-vCPU VM, the
+#: ladder from Li_0, the two tied near |k| / s of: for k > 0, 10-15 on t at
+#: N = 30-200, 20-40 on t + t^3, 24 on a five-term series at N = 30 (and
+#: past 60 at N = 100) and 30-35 on the dense 1 - e^(-t) at N = 30; for
+#: k < 0, 10-20 on t, 13-15 on t + t^3, 12-27 on five terms and 8-10 on
+#: 1 - e^(-t).
+HORNER_PER_TERM_POS_K = 35
+HORNER_PER_TERM_NEG_K = 15
 
 # The polylog ladder of the last inner series f: (f, D, Li_0(f), up, down),
 # where up and down are the furthest rungs (k, Li_k(f)) reached with k >= 0
@@ -99,9 +87,10 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     D = theta(f) / f is known only to order N - v, but Li_j(f) has valuation
     v and D is a unit, so neither step reads D beyond that and zeros pad it
     back to order N. Horner's rule on the N terms is used instead when
-    |k| >= HORNER_PER_TERM * s, s the number of nonzero terms of f: each of
-    its steps multiplies by those s terms in raw ``Fraction``s, while the
-    ladder takes |k| dense rungs (see ``HORNER_PER_TERM``).
+    |k| >= c s, s the number of nonzero terms of f and c one of
+    ``HORNER_PER_TERM_POS_K`` and ``HORNER_PER_TERM_NEG_K`` by the sign of k:
+    each of its steps multiplies by those s terms in raw ``Fraction``s, while
+    the ladder takes |k| dense rungs.
 
     The ladder of the last f (compared by value) is kept: D, Li_0 and the
     furthest rung reached each way. A request at or past a rung resumes
@@ -110,7 +99,8 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     """
     global _ladder
     n = inner.order
-    if abs(k) >= HORNER_PER_TERM * inner._nonzero_terms():
+    per_term = HORNER_PER_TERM_POS_K if k > 0 else HORNER_PER_TERM_NEG_K
+    if abs(k) >= per_term * inner._nonzero_terms():
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
         return TruncatedSeries.from_coeffs(weights, n).compose(inner)
     if _ladder is not None and _ladder[0] == inner:
@@ -159,11 +149,7 @@ def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Va
     x = normalize_point(x)
     if not isinstance(x, Polynomial):
         return pow1p_row(quotient, x)
-    q = [quotient.egf_coefficient(m) for m in range(n_max + 1)]
-    return tuple(
-        to_monomial_basis([binomial(n, j) * q[n - j] for j in range(n + 1)])(x)
-        for n in range(n_max + 1)
-    )
+    return tuple(binomial_falling_poly(quotient._egf, n)(x) for n in range(n_max + 1))
 
 
 def _li_coeff(n: int, k: int) -> Fraction:
@@ -317,17 +303,35 @@ def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Fraction:
 
 
 class VerificationReport:
-    """Outcome of checking one identity over a finite parameter range."""
+    """Outcome of checking one identity over a finite parameter range.
 
-    def __init__(self, identity: str, range_spec: dict[str, str]) -> None:
+    Each checked point is kept as one tuple, its parameter values (named by
+    ``params``) and whether it held; ``checked`` builds the dict form of the
+    points when it is read. A failure also keeps both sides, as text."""
+
+    def __init__(self, identity: str, range_spec: dict[str, str], params: tuple[str, ...]) -> None:
         self.identity = identity
         self.range_spec = range_spec
-        self.checked: list[dict] = []
+        self.params = params
+        self.points: list[tuple] = []
         self.failures: list[dict] = []
+
+    def add(self, values: tuple, lhs: object, rhs: object) -> None:
+        """Record the point with parameter values ``values`` and its two sides."""
+        ok = lhs == rhs
+        self.points.append((*values, ok))
+        if not ok:
+            params = dict(zip(self.params, values))
+            self.failures.append({"params": params, "lhs": _show(lhs), "rhs": _show(rhs)})
+
+    @property
+    def checked(self) -> list[dict]:
+        """Every point as ``{"params": {...}, "ok": ...}``, in check order."""
+        return [{"params": dict(zip(self.params, p)), "ok": p[-1]} for p in self.points]
 
     @property
     def total(self) -> int:
-        return len(self.checked)
+        return len(self.points)
 
     @property
     def passed(self) -> bool:
@@ -342,17 +346,19 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
 
-Point = tuple[dict, object, object]
+Point = tuple[tuple, object, object]
 Checker = Callable[[int, "tuple[int, ...] | None", "tuple[Value, ...] | None"], Iterator[Point]]
 
 
 class IdentitySpec(NamedTuple):
-    """A built-in identity; ``ks``/``xs`` are its default k range and x points,
-    and ``None`` means the identity takes no such parameter."""
+    """A built-in identity. Its checker yields (values, lhs, rhs) per point,
+    the values named by ``params``; ``ks``/``xs`` are its default k range and
+    x points, and ``None`` means the identity takes no such parameter."""
 
     name: str
     summary: str
     checker: Checker
+    params: tuple[str, ...]
     ks: tuple[int, ...] | None = None
     xs: tuple[Value, ...] | None = None
 
@@ -389,7 +395,7 @@ def _check_thm1(n_max, ks, xs):
     for n in range(n_max + 1):
         for x in xs:
             lhs = _closed_form("thm1", n, None, x, b_rows.get(x))
-            yield {"n": n, "x": _point_label(x)}, lhs, rows[x][n]
+            yield (n, _point_label(x)), lhs, rows[x][n]
 
 
 def _check_thm2(n_max, ks, xs):
@@ -399,7 +405,7 @@ def _check_thm2(n_max, ks, xs):
         for k in ks:
             for x in xs:
                 lhs = _closed_form("thm2", n, k, x, b_rows.get(x))
-                yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rows[k, x][n]
+                yield (n, k, _point_label(x)), lhs, rows[k, x][n]
 
 
 def _check_thm3(n_max, ks, xs):
@@ -411,28 +417,30 @@ def _check_thm3(n_max, ks, xs):
             for x in xs:
                 lhs = rows[k, x + 1][n] - rows[k, x][n]
                 rhs = _closed_form("thm3", n, k, x, b_rows.get(x))
-                yield {"n": n, "k": k, "x": _point_label(x)}, lhs, rhs
+                yield (n, k, _point_label(x)), lhs, rhs
 
 
 def _check_thm4(n_max, ks, xs):
     # Equality on an (n+1) x (n+1) grid of distinct rational points pins the
     # two-variable polynomial identity (degree <= n in each variable).
     # x = i/3 and x + y = i/3 + j/5; j = 0 gives the x points themselves.
-    points = {Fraction(i, 3) + Fraction(j, 5) for i in range(n_max + 1) for j in range(n_max + 1)}
+    thirds = [Fraction(i, 3) for i in range(n_max + 1)]
+    fifths = [Fraction(j, 5) for j in range(n_max + 1)]
+    points = {x + y for x in thirds for y in fifths}
     rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in points}
-    # Each x row goes over its common denominator once, not once per (n, y).
-    scaled = {
-        (k, i): common_denominator(rows[k, Fraction(i, 3)]) for k in ks for i in range(n_max + 1)
-    }
+    # Each x row goes over its common denominator once, not once per (n, y),
+    # and each label is made once, not once per point.
+    scaled = {(k, i): common_denominator(rows[k, x]) for k in ks for i, x in enumerate(thirds)}
+    x_labels, y_labels = list(map(str, thirds)), list(map(str, fifths))
     for n in range(n_max + 1):
         for k in ks:
             for i in range(n + 1):
-                x = Fraction(i, 3)
+                x = thirds[i]
                 for j in range(n + 1):
-                    y = Fraction(j, 5)
+                    y = fifths[j]
                     lhs = rows[k, x + y][n]
                     rhs = _addition_sum(scaled[k, i], n, y)
-                    yield {"n": n, "k": k, "x": str(x), "y": str(y)}, lhs, rhs
+                    yield (n, k, x_labels[i], y_labels[j]), lhs, rhs
 
 
 def _values_at_0_to_n(row0: Iterable[Fraction]) -> Iterator[tuple[list[Fraction], list[Fraction]]]:
@@ -458,7 +466,7 @@ def _check_eq9(n_max, ks, xs):
     # with bernoulli2nd_poly.
     values = _values_at_0_to_n(poly_b2nd_values(n_max, 1, 0))
     for n, (lhs, rhs) in enumerate(values):
-        yield {"n": n, "x": "x"}, lhs, rhs
+        yield (n, "x"), lhs, rhs
 
 
 def _check_eq2(n_max, ks, xs):
@@ -469,14 +477,14 @@ def _check_eq2(n_max, ks, xs):
     quotient = t_series(order).div_valuation(log1p_series(order), 1)
     values = _values_at_0_to_n([quotient.egf_coefficient(n) for n in range(n_max + 1)])
     for n, (rhs, lhs) in enumerate(values):
-        yield {"n": n, "x": "x"}, lhs, rhs
+        yield (n, "x"), lhs, rhs
 
 
 def _check_b_equals_higher_order(n_max, ks, xs):
     for n in range(n_max + 1):
         lhs = bernoulli2nd_poly(n)
         rhs = higher_order_bernoulli_poly(n, n, X + 1)
-        yield {"n": n}, lhs, rhs
+        yield (n,), lhs, rhs
 
 
 def _check_stirling_inversion(n_max, ks, xs):
@@ -485,7 +493,7 @@ def _check_stirling_inversion(n_max, ks, xs):
             total = Fraction(0)
             for l in range(m, n + 1):
                 total += stirling2(n, l) * stirling1(l, m)
-            yield {"n": n, "m": m}, total, Fraction(1 if n == m else 0)
+            yield (n, m), total, Fraction(1 if n == m else 0)
 
 
 IDENTITIES: dict[str, IdentitySpec] = {
@@ -495,12 +503,14 @@ IDENTITIES: dict[str, IdentitySpec] = {
             "thm1",
             "k=2 closed formula (classical Bernoulli weights) vs generating function",
             _check_thm1,
+            ("n", "x"),
             xs=_DEFAULT_POINTS,
         ),
         IdentitySpec(
             "thm2",
             "all-k closed formula (Stirling weights) vs generating function",
             _check_thm2,
+            ("n", "k", "x"),
             ks=tuple(range(-5, 6)),
             xs=_DEFAULT_POINTS,
         ),
@@ -508,6 +518,7 @@ IDENTITIES: dict[str, IdentitySpec] = {
             "thm3",
             "forward difference b(x+1)-b(x) vs its double-sum expansion",
             _check_thm3,
+            ("n", "k", "x"),
             ks=tuple(range(-3, 4)),
             xs=(Fraction(0), Fraction(1, 2), Fraction(-2)),
         ),
@@ -515,27 +526,32 @@ IDENTITIES: dict[str, IdentitySpec] = {
             "thm4",
             "argument-addition formula on a distinct-rational evaluation grid",
             _check_thm4,
+            ("n", "k", "x", "y"),
             ks=tuple(range(-2, 4)),
         ),
         IdentitySpec(
             "eq9",
             "k=1 table reduces to the Bernoulli polynomials of the second kind",
             _check_eq9,
+            ("n", "x"),
         ),
         IdentitySpec(
             "eq2",
             "basis expansion of b_n(x) vs the generating function, symbolically",
             _check_eq2,
+            ("n", "x"),
         ),
         IdentitySpec(
             "b-equals-higher-order",
             "b_n(x) equals the order-n higher-order Bernoulli polynomial at x+1",
             _check_b_equals_higher_order,
+            ("n",),
         ),
         IdentitySpec(
             "stirling-inversion",
             "composition of the two Stirling triangles is the identity",
             _check_stirling_inversion,
+            ("n", "m"),
         ),
     )
 }
@@ -585,12 +601,7 @@ def verify_identity(
     if spec.xs is not None:
         xs = _sorted_points(normalize_point(x) for x in (spec.xs if xs is None else xs))
     spec = spec._replace(ks=ks, xs=xs)
-    report = VerificationReport(name, _describe_range(spec, n_max))
-    for params, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):
-        ok = lhs == rhs
-        report.checked.append({"params": params, "ok": ok})
-        if not ok:
-            report.failures.append(
-                {"params": params, "lhs": _show(lhs), "rhs": _show(rhs)}
-            )
+    report = VerificationReport(name, _describe_range(spec, n_max), spec.params)
+    for values, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):
+        report.add(values, lhs, rhs)
     return report

@@ -207,13 +207,13 @@ def test_criterion_10_cli_end_to_end(capsys, monkeypatch):
 
         # Forced failure: a deliberately wrong identity fixture must exit 1.
         def broken_checker(n_max, ks, xs):
-            yield {"n": 0}, F(0), F(1)
+            yield (0,), F(0), F(1)
 
         spec = polybernoulli.IDENTITIES["eq2"]
         monkeypatch.setitem(
             polybernoulli.IDENTITIES,
             "eq2",
-            polybernoulli.IdentitySpec("eq2", spec.summary, broken_checker),
+            spec._replace(checker=broken_checker, params=("n",)),
         )
         code = main(["verify", "--identity", "eq2", "--n-max", "0"])
         assert code == 1

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polybern import bernoulli, cli, polybernoulli
+from polybern import bernoulli, cli, combinatorics, expr, polybernoulli
 from polybern.cli import main
 from polybern.combinatorics import stirling1, stirling2
 
@@ -214,13 +214,13 @@ def test_verify_forced_failure_exits_one(capsys, monkeypatch):
     def broken_checker(n_max, ks, xs):
         for n in range(n_max + 1):
             lhs = polybernoulli.poly_b2nd_values(n_max, 1, F(0))[n]
-            yield {"n": n}, lhs, lhs + 1
+            yield (n,), lhs, lhs + 1
 
     spec = polybernoulli.IDENTITIES["eq9"]
     monkeypatch.setitem(
         polybernoulli.IDENTITIES,
         "eq9",
-        polybernoulli.IdentitySpec("eq9", spec.summary, broken_checker),
+        spec._replace(checker=broken_checker, params=("n",)),
     )
     code, out, _ = run_cli(capsys, "verify", "--identity", "eq9", "--n-max", "3")
     assert code == 1
@@ -385,7 +385,7 @@ def test_size_over_its_cap_exits_two_before_any_work(capsys, monkeypatch, argv, 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{work} called")
 
-    owner = polybernoulli if work == "verify_identity" else cli
+    owner = {"verify_identity": polybernoulli, "eval_expr": expr}.get(work, cli)
     monkeypatch.setattr(owner, work, forbidden)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
@@ -467,8 +467,8 @@ def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, mon
         monkeypatch.setattr(polybernoulli, name, forbidden)
     for name in ("bernoulli_numbers", "bernoulli_values", "bernoulli2nd_values", "higher_order_bernoulli_poly"):
         monkeypatch.setattr(bernoulli, name, forbidden)
-    for name in ("eval_expr", "stirling2"):
-        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(expr, "eval_expr", forbidden)
+    monkeypatch.setattr(combinatorics, "stirling2", forbidden)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     errors = [line for line in err.splitlines() if "error:" in line]

@@ -59,7 +59,8 @@ def test_polylog_rejects_nonzero_constant_term():
 
 
 def test_polylog_routes_only_large_k_through_horner(monkeypatch):
-    assert polybernoulli.HORNER_PER_TERM == 20
+    up, down = polybernoulli.HORNER_PER_TERM_POS_K, polybernoulli.HORNER_PER_TERM_NEG_K
+    assert (up, down) == (35, 15)
     composed = []
     original = TruncatedSeries.compose
 
@@ -73,14 +74,17 @@ def test_polylog_routes_only_large_k_through_horner(monkeypatch):
     composed.clear()
     polylog_series(3, one_minus_exp_neg(40))
     assert composed == []
-    # |k| >= 20 s takes Horner's rule, s the nonzero terms of the inner
-    # series, and |k| < 20 s the differential equation, whatever the order.
+    # k >= up s and k <= -down s take Horner's rule, s the nonzero terms of
+    # the inner series, and the k between them the differential equation,
+    # whatever the order.
     t_plus_t3 = TruncatedSeries([0, 1, 0, 1] + [0] * 37)
-    for inner, s in ((t_series(40), 1), (t_plus_t3, 2), (t_series(5), 1)):
-        for k in (-20 * s, -20 * s + 1, 20 * s - 1, 20 * s):
+    five_terms = TruncatedSeries([0, 1, 0, F(1, 3), 0, F(-2, 5), 0, 1, 0, F(1, 7), 0, 0, 0])
+    for inner, s in ((t_series(40), 1), (t_plus_t3, 2), (t_series(5), 1), (five_terms, 5)):
+        for k in (-down * s, -down * s + 1, up * s - 1, up * s):
             composed.clear()
             polylog_series(k, inner)
-            assert composed == ([inner.order] if abs(k) >= 20 * s else []), (s, k)
+            horner = k >= up * s or k <= -down * s
+            assert composed == ([inner.order] if horner else []), (s, k)
     # A dense inner series takes the ladder even for |k| >= N.
     for k in (-41, 41):
         composed.clear()
