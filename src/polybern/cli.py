@@ -32,11 +32,13 @@ _RATIONAL_RE = re.compile(f"{_INT}(/[1-9][0-9]*)?")
 _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
-#: bound the cost only while |k| is small. On a 2-vCPU VM ``table --kind
-#: poly2nd -n 1000`` takes 17 s at k = -3 and 48 s at k = 5, but each further
-#: rung of |k| costs 1-6 s downward and 9-19 s upward at that size; ``-k 101
-#: -n 100`` takes 2 s. ``verify thm4``, which checks (n+1)^2 points per n,
-#: takes 17 s and 171 MB at n = 50.
+#: bound the cost only while k > 0 is small. On a 2-vCPU VM ``table --kind
+#: poly2nd -n 1000`` takes 13 s at k = -3, 35 s at k = 5 and 64 s at
+#: k = -999, most of it the quotient by log(1+t) for small |k|. At that size
+#: a down rung costs about 0.4 s, an up rung 1-6 s, and the S2 sum past the
+#: thresholds of ``gf`` 0.7 s at k = -6 but 53 s at k = 12, since its weights
+#: grow with k > 0; ``-k 1000 -n 100`` takes 22 s. ``verify thm4``, which
+#: checks (n+1)^2 points per n, takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
 MAX_VERIFY_N = 50
 MAX_ORDER = 1000
@@ -201,7 +203,31 @@ def _table_values(args, parser: argparse.ArgumentParser):
         except ValueError as exc:
             parser.error(str(exc))
 
-    from . import bernoulli, combinatorics
+    if kind == "poly2nd":
+        if args.k is None:
+            parser.error("--kind poly2nd requires -k")
+        from .caps import check_k
+
+        try:
+            check_k(args.k)
+        except ValueError as exc:
+            parser.error(str(exc))
+        params["k"] = str(args.k)
+        point = x if x is not None else Fraction(0)
+        params["x"] = str(point)
+        from .gf import poly_b2nd_values
+
+        return params, poly_b2nd_values(n_max, args.k, point)
+    if kind in ("stirling1", "stirling2"):
+        if args.l is None:
+            parser.error(f"--kind {kind} requires --l (triangle column)")
+        from .combinatorics import stirling1, stirling2
+
+        params["l"] = str(args.l)
+        fn = stirling1 if kind == "stirling1" else stirling2
+        return params, [fn(n, args.l) for n in range(n_max + 1)]
+
+    from . import bernoulli
 
     if kind == "bernoulli":
         if x is None:
@@ -219,25 +245,6 @@ def _table_values(args, parser: argparse.ArgumentParser):
             values = bernoulli.bernoulli2nd_numbers(n_max)
         if convention == "ogf":
             values = [v / math.factorial(n) for n, v in enumerate(values)]
-    elif kind == "poly2nd":
-        if args.k is None:
-            parser.error("--kind poly2nd requires -k")
-        from .polybernoulli import check_k, poly_b2nd_values
-
-        try:
-            check_k(args.k)
-        except ValueError as exc:
-            parser.error(str(exc))
-        params["k"] = str(args.k)
-        point = x if x is not None else Fraction(0)
-        params["x"] = str(point)
-        values = poly_b2nd_values(n_max, args.k, point)
-    elif kind in ("stirling1", "stirling2"):
-        if args.l is None:
-            parser.error(f"--kind {kind} requires --l (triangle column)")
-        params["l"] = str(args.l)
-        fn = combinatorics.stirling1 if kind == "stirling1" else combinatorics.stirling2
-        values = [fn(n, args.l) for n in range(n_max + 1)]
     else:  # higher-order
         point = x if x is not None else Fraction(0)
         params["x"] = str(point)

@@ -8,7 +8,8 @@ where Li_k is the polylogarithm series sum_{m>=1} u^m / m^k for any integer
 k (non-positive k just means positive integer weights m^|k|). Three routes
 compute the family:
 
-* ``poly_b2nd_values`` — the truncated-series route, used as the oracle;
+* ``poly_b2nd_values`` — the truncated-series route, used as the oracle
+  (it lives in ``gf`` with the rest of the gf, and is re-exported here);
 * ``poly_b2nd_theorem1`` — a closed sum over classical Bernoulli numbers,
   valid at k = 2;
 * ``poly_b2nd_theorem2`` — a closed sum with Stirling-number weights, valid
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .bernoulli import (
@@ -33,7 +33,8 @@ from .bernoulli import (
     higher_order_bernoulli_poly,
 )
 from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .combinatorics import binomial_falling_poly, stirling1, stirling2, stirling2_row
+from .combinatorics import stirling1, stirling2
+from .gf import _gf_values, _li_coeff, poly_b2nd_values  # noqa: F401 (re-exported)
 from .polynomial import (
     Polynomial,
     X,
@@ -45,9 +46,7 @@ from .polynomial import (
 from .series import (
     TruncatedSeries,
     constant_series,
-    exp_series,
     log1p_series,
-    pow1p_row,
     t_series,
 )
 
@@ -66,11 +65,6 @@ Value = Union[Fraction, Polynomial]
 #: 1 - e^(-t).
 HORNER_PER_TERM_POS_K = 35
 HORNER_PER_TERM_NEG_K = 15
-
-# The polylog ladder of the last inner series f: (f, D, Li_0(f), up, down),
-# where up and down are the furthest rungs (k, Li_k(f)) reached with k >= 0
-# and k <= 0.
-_ladder: tuple | None = None
 
 
 def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
@@ -92,88 +86,24 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     each of its steps multiplies by those s terms in raw ``Fraction``s, while
     the ladder takes |k| dense rungs.
 
-    The ladder of the last f (compared by value) is kept: D, Li_0 and the
-    furthest rung reached each way. A request at or past a rung resumes
-    from it, any other starts from Li_0, so k = 0, ±1, ±2, ... in turn cost
-    one step each. A racing thread can lose a rung, never a value.
+    It serves ``Li(k, f)`` in ``eval``; the gf's own 1 - e^(-t) takes the
+    closed-form route of ``gf``.
     """
-    global _ladder
     n = inner.order
     per_term = HORNER_PER_TERM_POS_K if k > 0 else HORNER_PER_TERM_NEG_K
     if abs(k) >= per_term * inner._nonzero_terms():
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
         return TruncatedSeries.from_coeffs(weights, n).compose(inner)
-    if _ladder is not None and _ladder[0] == inner:
-        _, d, li0, up, down = _ladder
-    else:
-        inner._require_no_constant_term()
-        v = inner.valuation()
-        nums, den = inner.theta().div_valuation(inner, v)._egf
-        d = TruncatedSeries.from_egf(nums + (0,) * v, den)
-        li0 = inner.div_unit(constant_series(Fraction(1), n) - inner)
-        up = down = (0, li0)
-    rung, li = up if k >= 0 else down
-    if abs(k) < abs(rung):
-        rung, li = 0, li0
-    for _ in range(rung, k):
+    inner._require_no_constant_term()
+    v = inner.valuation()
+    nums, den = inner.theta().div_valuation(inner, v)._egf
+    d = TruncatedSeries.from_egf(nums + (0,) * v, den)
+    li = inner.div_unit(constant_series(Fraction(1), n) - inner)
+    for _ in range(k):
         li = (li * d).theta_inverse()
-    for _ in range(k, rung):
+    for _ in range(-k):
         li = li.theta().div_unit(d)
-    if k > up[0]:
-        up = (k, li)
-    elif k < down[0]:
-        down = (k, li)
-    _ladder = (inner, d, li0, up, down)
     return li
-
-
-@lru_cache(maxsize=None)
-def _gf_values(n_max: int, k: int) -> TruncatedSeries:
-    """Li_k(1 - e^(-t)) / log(1+t) at order n_max: the x-free part of the gf."""
-    order = n_max + 1
-    inner = constant_series(Fraction(1), order) - exp_series(Fraction(-1), order)
-    return polylog_series(k, inner).div_valuation(log1p_series(order), 1)
-
-
-def poly_b2nd_values(n_max: int, k: int, x: Scalar | Polynomial = 0) -> tuple[Value, ...]:
-    """b_0^(k)(x)..b_{n_max}^(k)(x) via the generating-function route.
-
-    With q_m the egf coefficients of the x-free quotient, the gf gives
-    b_n^(k)(x) = sum_j C(n, j) q_{n-j} (x)_j. A rational x takes one series
-    product; a symbolic x takes that sum to the monomial basis, and any
-    point other than X itself is then substituted into it.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    quotient = _gf_values(n_max, check_k(k))
-    x = normalize_point(x)
-    if not isinstance(x, Polynomial):
-        return pow1p_row(quotient, x)
-    return tuple(binomial_falling_poly(quotient._egf, n)(x) for n in range(n_max + 1))
-
-
-def _li_coeff(n: int, k: int) -> Fraction:
-    """a_n^(k) = sum_{m=1}^{n} (-1)^(n+m) m! S2(n, m) / m^k.
-
-    The egf coefficient of t^n in Li_k(1 - e^(-t)), from
-    (1 - e^(-t))^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!. It reads the
-    Stirling triangle, not the series, so Theorem 2 stays an independent
-    check on the gf. The sum runs in ints: over the denominator
-    lcm(1..n)^k for k > 0, where 1/m^k = (lcm(1..n)/m)^k / lcm(1..n)^k, and
-    over 1 for k <= 0, where m^(-k) is an integer.
-    """
-    if k > 0:
-        root = math.lcm(*range(1, n + 1))
-        den, powers = root**k, [(root // m) ** k for m in range(1, n + 1)]
-    else:
-        den, powers = 1, [m**-k for m in range(1, n + 1)]
-    s2 = stirling2_row(n)
-    total, factorial = 0, 1
-    for m, power in enumerate(powers, 1):
-        factorial *= m
-        term = factorial * s2[m] * power
-        total += -term if (n + m) % 2 else term
-    return Fraction(total, den)
 
 
 # -- closed sums -------------------------------------------------------------
@@ -383,12 +313,6 @@ def _value_rows(n_max: int, xs) -> dict[Fraction, tuple[list[int], int]]:
     return {x: _b2nd_row(n_max, x) for x in xs if not isinstance(x, Polynomial)}
 
 
-def _by_abs(ks):
-    """ks in order of increasing |k|, so the polylog ladder climbs one rung
-    per k (see ``polylog_series``)."""
-    return sorted(ks, key=abs)
-
-
 def _check_thm1(n_max, ks, xs):
     rows = {x: poly_b2nd_values(n_max, 2, x) for x in xs}
     b_rows = _value_rows(n_max, xs)
@@ -399,7 +323,7 @@ def _check_thm1(n_max, ks, xs):
 
 
 def _check_thm2(n_max, ks, xs):
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in xs}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in xs}
     b_rows = _value_rows(n_max, xs)
     for n in range(n_max + 1):
         for k in ks:
@@ -410,7 +334,7 @@ def _check_thm2(n_max, ks, xs):
 
 def _check_thm3(n_max, ks, xs):
     points = set(xs) | {x + 1 for x in xs}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in points}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
     b_rows = _value_rows(n_max, xs)
     for n in range(1, n_max + 1):
         for k in ks:
@@ -427,7 +351,7 @@ def _check_thm4(n_max, ks, xs):
     thirds = [Fraction(i, 3) for i in range(n_max + 1)]
     fifths = [Fraction(j, 5) for j in range(n_max + 1)]
     points = {x + y for x in thirds for y in fifths}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in _by_abs(ks) for x in points}
+    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
     # Each x row goes over its common denominator once, not once per (n, y),
     # and each label is made once, not once per point.
     scaled = {(k, i): common_denominator(rows[k, x]) for k in ks for i, x in enumerate(thirds)}

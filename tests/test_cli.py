@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polybern import bernoulli, cli, combinatorics, expr, polybernoulli
+from polybern import bernoulli, cli, combinatorics, expr, gf, polybernoulli
 from polybern.cli import main
 from polybern.combinatorics import stirling1, stirling2
 
@@ -465,6 +465,7 @@ def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, mon
 
     for name in ("poly_b2nd_values", "verify_identity"):
         monkeypatch.setattr(polybernoulli, name, forbidden)
+    monkeypatch.setattr(gf, "poly_b2nd_values", forbidden)
     for name in ("bernoulli_numbers", "bernoulli_values", "bernoulli2nd_values", "higher_order_bernoulli_poly"):
         monkeypatch.setattr(bernoulli, name, forbidden)
     monkeypatch.setattr(expr, "eval_expr", forbidden)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
-from polybern import bernoulli, combinatorics, polybernoulli, series
+from polybern import bernoulli, combinatorics, gf, polybernoulli, series
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
@@ -134,8 +134,8 @@ def horner_polylog(k, inner):
 @settings(max_examples=30)
 @given(inner_series(), st.randoms(use_true_random=False))
 def test_polylog_ladder_in_any_order_matches_the_defining_sum(inner, rng):
-    # Each request resumes from a rung of the kept ladder or starts over
-    # from Li_0; in whatever order the k come, the result is sum f^m / m^k.
+    # Nothing is kept from one request to the next; in whatever order the k
+    # come, the result is sum f^m / m^k.
     # The powers f^m are shared by every k, so this costs about one Horner
     # composition (which test_polylog_ode_matches_horner_composition uses).
     n = inner.order
@@ -144,49 +144,76 @@ def test_polylog_ladder_in_any_order_matches_the_defining_sum(inner, rng):
         powers.append(oracles.naive_mul(powers[-1], list(inner.coeffs), n))
     ks = list(range(-6, 7))
     rng.shuffle(ks)
-    polybernoulli._ladder = None
     for k in ks:
         expected = [sum(F(m) ** -k * p[i] for m, p in enumerate(powers, 1)) for i in range(n + 1)]
         assert list(polylog_series(k, inner).coeffs) == expected, k
 
 
-def test_verify_thm2_climbs_each_rung_once(monkeypatch):
-    # k = 1..5 are one theta_inverse step each from the rung below; without
-    # the kept ladder, k costs k steps, 15 in all.
-    steps = []
-    original = TruncatedSeries.theta_inverse
-
-    def counted(self):
-        steps.append(self.order)
-        return original(self)
-
-    monkeypatch.setattr(TruncatedSeries, "theta_inverse", counted)
-    monkeypatch.setattr(polybernoulli, "_ladder", None)
-    polybernoulli._gf_values.cache_clear()
-    assert verify_identity("thm2", 6).passed
-    assert steps == [7] * 5
-
-
-def test_the_ladder_keeps_one_rung_per_direction(monkeypatch):
-    monkeypatch.setattr(polybernoulli, "_ladder", None)
-    f = one_minus_exp_neg(40)
-    up = polylog_series(3, f)
-    down = polylog_series(-30, f)
-    # The key f, then D, Li_0 and one rung (k, Li_k) per direction.
-    key, d, li0, (k_up, li_up), (k_down, li_down) = polybernoulli._ladder
-    assert key == f and (k_up, li_up) == (3, up) and (k_down, li_down) == (-30, down)
-    assert li0 == polylog_series(0, f) and d.order == 40
-    # A request below a rung starts from Li_0 and leaves the rungs alone.
-    ladder = polybernoulli._ladder
-    assert polylog_series(-2, f) == horner_polylog(-2, f)
-    assert polybernoulli._ladder[3:] == ladder[3:]
-    # A new inner series replaces the whole ladder.
-    polylog_series(1, t_series(40))
-    assert polybernoulli._ladder[0] == t_series(40)
-    assert polybernoulli._ladder[4][0] == 0
-
-
 # -- generating-function route ----------------------------------------------
+
+
+def test_the_gf_routes_equal_the_general_polylog():
+    # Li_k(1 - e^(-t)) by the gf's own routes against polylog_series, which
+    # solves the general ladder (or Horner's rule) on the raw inner series.
+    for order, ks, route in (
+        (40, range(-6, 7), gf._rungs),
+        (40, range(-14, 15), gf._s2_sum),
+        (60, (-300, 300), gf._s2_sum),
+    ):
+        inner = one_minus_exp_neg(order)
+        for k in ks:
+            assert TruncatedSeries.from_egf(*route(order, k)) == polylog_series(k, inner), (order, k)
+
+
+def test_the_s2_sum_equals_the_weights_of_theorem2():
+    for k in (-20, -7, -1, 0, 1, 2, 13, 30):
+        nums, den = gf._s2_sum(25, k)
+        assert [F(c, den) for c in nums] == [polybernoulli._li_coeff(n, k) for n in range(26)], k
+
+
+def test_the_gf_picks_its_polylog_route_by_k(monkeypatch):
+    neg, pos = gf.S2_SUM_NEG_K, gf.S2_SUM_POS_K
+    assert 5 < neg <= pos
+    calls = []
+    for name in ("_down_rung", "_up_rung", "_s2_sum"):
+        original = getattr(gf, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(gf, name, counted)
+    for k in range(-neg - 2, pos + 3):
+        calls.clear()
+        gf._polylog(12, k)
+        if k <= -neg or k >= pos:
+            assert calls == ["_s2_sum"], k
+        elif k <= 0:
+            assert calls == ["_down_rung"] * -k, k
+        else:
+            assert calls == ["_up_rung"] * (k - 1), k
+
+
+def test_the_gf_reads_no_stirling_row_at_the_default_k_of_verify(monkeypatch):
+    # Theorem 2 takes its weights from _li_coeff, the S2 sum over
+    # stirling2_row. The gf must not read them at any k that verify checks
+    # by default, so that thm2 stays an independent check of the gf.
+    from polybern.cli import MAX_VERIFY_N
+
+    def refuse(*args):
+        raise AssertionError("the gf read the S2 sum")
+
+    for module, name in ((combinatorics, "stirling2_row"), (gf, "_li_coeff"), (gf, "_s2_sum")):
+        monkeypatch.setattr(module, name, refuse)
+    ks = {k for spec in IDENTITIES.values() for k in spec.ks or ()}
+    assert ks == set(range(-5, 6))
+    polybernoulli._gf_values.cache_clear()
+    try:
+        for k in sorted(ks):
+            for n in range(MAX_VERIFY_N + 1):
+                assert polybernoulli._gf_values(n, k).order == n
+    finally:
+        polybernoulli._gf_values.cache_clear()
 
 
 def test_gf_reduces_to_second_kind_at_k1():
@@ -347,7 +374,7 @@ def test_thm4_catches_a_wrong_x_shift(monkeypatch):
     # thm4 compares the gf's x-shift (pow1p_row) with its own falling
     # factorials (_addition_sum); the two share no code, so a wrong shift in
     # one of them fails the identity.
-    monkeypatch.setattr(polybernoulli, "pow1p_row", rising_pow1p_row)
+    monkeypatch.setattr(gf, "pow1p_row", rising_pow1p_row)
     report = verify_identity("thm4", 6)
     assert report.total == 840
     assert len(report.failures) > 600
@@ -367,8 +394,8 @@ def test_closed_sums_at_a_rational_point_use_no_gf_x_shift(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a closed sum reached the gf's x-shift")
 
-    for module in (series, bernoulli, polybernoulli):
-        monkeypatch.setattr(module, "pow1p_row", forbidden, raising=False)
+    for module in (series, bernoulli, gf):
+        monkeypatch.setattr(module, "pow1p_row", forbidden)
     monkeypatch.setattr(bernoulli, "bernoulli2nd_values", forbidden)
     for n, k, x in cases:
         got = (poly_b2nd_theorem1(n, x), poly_b2nd_theorem2(n, k, x), theorem3_rhs(n, k, x))
@@ -516,16 +543,17 @@ def test_caches_do_not_grow_with_the_number_of_points():
 @pytest.mark.parametrize("name", ["thm2", "thm3", "thm4"])
 def test_verify_composes_the_polylog_once_per_k(monkeypatch, name):
     composed = []
-    original = polybernoulli.polylog_series
+    original = gf._polylog
 
-    def counted(k, inner):
+    def counted(order, k):
         composed.append(k)
-        return original(k, inner)
+        return original(order, k)
 
-    monkeypatch.setattr(polybernoulli, "polylog_series", counted)
+    monkeypatch.setattr(gf, "_polylog", counted)
     polybernoulli._gf_values.cache_clear()
     assert verify_identity(name, 6).passed
     assert sorted(composed) == list(IDENTITIES[name].ks)
+    assert polybernoulli._gf_values.cache_info().misses == len(IDENTITIES[name].ks)
 
 
 # -- verify_identity ---------------------------------------------------------

@@ -23,7 +23,9 @@ print(code, *loaded)
 SERIES = {"polybern.polynomial", "polybern.series"}
 CORE = {"polybern", "polybern.cli", "polybern.caps"}
 TABLES = CORE | SERIES | {"polybern.bernoulli", "polybern.combinatorics"}
-POLY = TABLES | {"polybern.polybernoulli"}
+GF = CORE | SERIES | {"polybern.gf"}
+STIRLING = CORE | {"polybern.polynomial", "polybern.combinatorics"}
+POLY = TABLES | GF | {"polybern.polybernoulli"}
 EVAL = CORE | SERIES | {"polybern.expr"}
 
 
@@ -55,8 +57,10 @@ def test_importing_the_cli_loads_only_the_package_and_the_cli():
         (("table", "--kind", "bernoulli", "-n", "3"), TABLES),
         (("table", "--kind", "bernoulli2nd", "-n", "3", "--x", "1/2", "--convention", "ogf"), TABLES),
         (("table", "--kind", "higher-order", "-n", "3"), TABLES),
-        (("table", "--kind", "stirling2", "-n", "3", "--l", "1"), TABLES),
-        (("table", "--kind", "poly2nd", "-k", "1", "-n", "3"), POLY),
+        (("table", "--kind", "stirling2", "-n", "3", "--l", "1"), STIRLING),
+        (("table", "--kind", "poly2nd", "-k", "1", "-n", "3"), GF),
+        (("table", "--kind", "poly2nd", "-k", "-3", "-n", "3", "--x", "1/2"), GF),
+        (("table", "--kind", "poly2nd", "-k", "40", "-n", "3"), GF),
         (("table", "--kind", "bernoulli", "-n", "3", "--format", "json"), TABLES | {"json"}),
         (("verify", "--identity", "thm2", "--n-max", "1"), POLY),
         (("verify", "--identity", "eq9", "--n-max", "1", "--format", "json"), POLY | {"json"}),
@@ -68,6 +72,21 @@ def test_each_command_loads_only_what_it_runs(argv, expected):
     code, modules = loaded_by(*argv)
     assert code == 0
     assert modules - {"json.decoder", "json.encoder", "json.scanner"} == expected
+
+
+def test_the_gf_loads_combinatorics_only_for_a_symbolic_x():
+    code = """
+import sys
+from polybern.gf import poly_b2nd_values
+from polybern.polynomial import X
+poly_b2nd_values(4, -2, 3)
+print("polybern.combinatorics" in sys.modules)
+poly_b2nd_values(4, -2, X)
+print("polybern.combinatorics" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_a_usage_error_loads_no_computation():
