@@ -33,10 +33,10 @@ _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
 #: bound the cost only while k > 0 is small. On a 2-vCPU VM ``table --kind
-#: poly2nd -n 1000`` takes 13 s at k = -3, 35 s at k = 5 and 64 s at
+#: poly2nd -n 1000`` takes 11 s at k = -3, 35 s at k = 5 and 64 s at
 #: k = -999, most of it the quotient by log(1+t) for small |k|. At that size
-#: a down rung costs about 0.4 s, an up rung 1-6 s, and the S2 sum past the
-#: thresholds of ``gf`` 0.7 s at k = -6 but 53 s at k = 12, since its weights
+#: a down rung costs 0.05-0.15 s, an up rung 1-6 s, and the S2 sum of ``gf``
+#: (from |k| = 12) about 1 s at k = -12 but 53 s at k = 12, since its weights
 #: grow with k > 0; ``-k 1000 -n 100`` takes 22 s. ``verify thm4``, which
 #: checks (n+1)^2 points per n, takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000

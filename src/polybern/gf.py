@@ -9,12 +9,13 @@ the egf ints L_n = n! [t^n] Li_k(f):
 * Li_1(f) = t, and Li_0(f) = f / (1 - f) = e^t - 1, all ones past L_0;
 * u d/du Li_j(u) = Li_(j-1)(u) and f / f' = e^t - 1 give
   Li_(j-1)(f) = (e^t - 1) d/dt Li_j(f): a down rung is the binomial sum
-  c_m = sum_(i=1..m) C(m, i) L_(m-i+1), in ints with no division;
+  c_m = sum_(i=1..m) C(m, i) L_(m-i+1), which Pascal's rule gives in int
+  additions alone;
 * the same equation read upward is an up rung, solved forward with one exact
   division by m per term;
 * a_n^(k) = sum_(m=1..n) (-1)^(n+m) m! S2(n, m) m^(-k), from
   f^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!, costs the same at every k,
-  so it replaces |k| rungs past ``S2_SUM_NEG_K`` and ``S2_SUM_POS_K``.
+  so it replaces |k| rungs from ``S2_SUM_ABS_K`` on.
 
 At import this module loads no computing module of polybern but ``series``
 (and the ``polynomial`` it rests on), so ``table --kind poly2nd`` loads
@@ -27,23 +28,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .caps import check_k
 from .polynomial import Polynomial, normalize_point
 from .series import Row, TruncatedSeries, _pascal_rows, log1p_series, pow1p_row
 
-#: Li_k(f) comes from the S2 sum when k <= -S2_SUM_NEG_K or k >= S2_SUM_POS_K,
-#: and from |k| rungs otherwise. The sum costs about as much as a few rungs
-#: while its weights m^(-k) are ints of |k| log2(N) bits, but for k > 0 they
-#: are (lcm(1..N)/m)^k, about 1.44 N k bits from the start. Each route alone
-#: on a 2-vCPU VM, in CPU time, the two tie near: for k < 0, |k| = 3-4 at
-#: orders 26-1001 (1001, k = -6: the sum 0.67 s, the rungs 2.3 s); for k > 0,
-#: k = 4 at order 101, 6 at 201, 10 at 401, 11 at 601 and 12-13 at 1001
-#: (k = 12: 53 s against 48 s). Both stay above 5, so the default k of ``verify`` (-5..5)
-#: read no Stirling row and Theorem 2 checks the gf independently.
-S2_SUM_NEG_K = 6
-S2_SUM_POS_K = 12
+#: Li_k(f) comes from the S2 sum from |k| = S2_SUM_ABS_K on, and from |k|
+#: rungs below it. A rung costs O(N^2) additions (down) or products (up) on
+#: values that grow with each rung; the sum costs O(N^2) products once, on
+#: weights m^(-k) that are |k| log2(N)-bit ints for k < 0 but
+#: (lcm(1..N)/m)^k, about 1.44 N k bits, for k > 0. Each route alone on a
+#: 2-vCPU VM, in CPU time, the two tie near: for k < 0, |k| = 4 at order 26,
+#: 6 at 101, 7-8 at 201, 8-12 at 401 and 14-16 at 1001 (k = -20: the rungs
+#: 1.7 s, the sum 1.3 s); for k > 0, k = 4 at order 101, 6 at 201, 10 at 401,
+#: 11 at 601 and 12-13 at 1001 (k = 12: 48 s against 53 s). The threshold
+#: follows the large orders, where the cost is, and stays above 5, so the
+#: default k of ``verify`` (-5..5) read no Stirling row and Theorem 2 checks
+#: the gf independently.
+S2_SUM_ABS_K = 12
 
 
 def _inverse_powers(k: int, n: int) -> tuple[list[int], int]:
@@ -57,11 +60,18 @@ def _inverse_powers(k: int, n: int) -> tuple[list[int], int]:
 
 
 def _down_rung(li: Row) -> Row:
-    """Li_(j-1)(f) = (e^t - 1) d/dt Li_j(f): c_m = sum_(i=1..m) C(m, i) L_(m-i+1)."""
+    """Li_(j-1)(f) = (e^t - 1) d/dt Li_j(f) = e^t g - g for g = d/dt Li_j(f),
+    whose egf ints are G_i = L_(i+1): c_m = H_m - G_m with H_m =
+    sum_(i<=m) C(m, i) G_i, that is c_m = sum_(i=1..m) C(m, i) L_(m-i+1).
+    H_m is the first entry of the m-th row of Pascal's rule applied to G
+    (each row adds neighbours), so a rung takes additions only. G_N is
+    beyond the order, and cancels from c_N; it enters as 0."""
     nums, den = li
-    out = [0]
-    for m, row in zip(range(1, len(nums)), _pascal_rows(1)):
-        out.append(sum(map(mul, row[1:], nums[m:0:-1])))
+    g = [*nums[1:], 0]
+    h, out = g, [0]
+    for m in range(1, len(nums)):
+        h = list(map(add, h, h[1:]))
+        out.append(h[0] - g[m])
     return out, den
 
 
@@ -105,11 +115,9 @@ def _rungs(order: int, k: int) -> Row:
 
 
 def _polylog(order: int, k: int) -> Row:
-    """The egf ints of Li_k(1 - e^(-t)) to t^order, by the S2 sum past the
-    thresholds and by rungs within them."""
-    if -S2_SUM_NEG_K < k < S2_SUM_POS_K:
-        return _rungs(order, k)
-    return _s2_sum(order, k)
+    """The egf ints of Li_k(1 - e^(-t)) to t^order: by the S2 sum from
+    ``S2_SUM_ABS_K`` on, by rungs below it."""
+    return _s2_sum(order, k) if abs(k) >= S2_SUM_ABS_K else _rungs(order, k)
 
 
 def _li_coeff(n: int, k: int) -> Fraction:

@@ -156,7 +156,7 @@ def test_the_gf_routes_equal_the_general_polylog():
     # Li_k(1 - e^(-t)) by the gf's own routes against polylog_series, which
     # solves the general ladder (or Horner's rule) on the raw inner series.
     for order, ks, route in (
-        (40, range(-6, 7), gf._rungs),
+        (40, range(-13, 14), gf._rungs),
         (40, range(-14, 15), gf._s2_sum),
         (60, (-300, 300), gf._s2_sum),
     ):
@@ -172,8 +172,8 @@ def test_the_s2_sum_equals_the_weights_of_theorem2():
 
 
 def test_the_gf_picks_its_polylog_route_by_k(monkeypatch):
-    neg, pos = gf.S2_SUM_NEG_K, gf.S2_SUM_POS_K
-    assert 5 < neg <= pos
+    threshold = gf.S2_SUM_ABS_K
+    assert threshold > 5
     calls = []
     for name in ("_down_rung", "_up_rung", "_s2_sum"):
         original = getattr(gf, name)
@@ -183,10 +183,10 @@ def test_the_gf_picks_its_polylog_route_by_k(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(gf, name, counted)
-    for k in range(-neg - 2, pos + 3):
+    for k in range(-threshold - 2, threshold + 3):
         calls.clear()
         gf._polylog(12, k)
-        if k <= -neg or k >= pos:
+        if abs(k) >= threshold:
             assert calls == ["_s2_sum"], k
         elif k <= 0:
             assert calls == ["_down_rung"] * -k, k
