@@ -32,13 +32,12 @@ _RATIONAL_RE = re.compile(f"{_INT}(/[1-9][0-9]*)?")
 _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
-#: bound the cost only while k > 0 is small. On a 2-vCPU VM ``table --kind
-#: poly2nd -n 1000`` takes 11 s at k = -3, 35 s at k = 5 and 64 s at
-#: k = -999, most of it the quotient by log(1+t) for small |k|. At that size
-#: a down rung costs 0.05-0.15 s, an up rung 1-6 s, and the S2 sum of ``gf``
-#: (from |k| = 12) about 1 s at k = -12 but 53 s at k = 12, since its weights
-#: grow with k > 0; ``-k 1000 -n 100`` takes 22 s. ``verify thm4``, which
-#: checks (n+1)^2 points per n, takes 17 s and 171 MB at n = 50.
+#: do not bound the cost of a large k. On a 2-vCPU VM ``table --kind poly2nd
+#: -n 1000`` takes 11-14 s at k = -3, 25 s at k = 5, 37 s at k = 12 and 25 s
+#: at k = -999, nearly all of it the quotient by log(1+t); ``-k 1000 -n 100``
+#: takes 21 s. At k > 0 the values carry lcm(1..n)^k, so ``-k 20000 -n 1000``
+#: would need gigabytes. ``verify thm4``, which checks (n+1)^2 points per n,
+#: takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
 MAX_VERIFY_N = 50
 MAX_ORDER = 1000

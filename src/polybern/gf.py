@@ -12,10 +12,10 @@ the egf ints L_n = n! [t^n] Li_k(f):
   c_m = sum_(i=1..m) C(m, i) L_(m-i+1), which Pascal's rule gives in int
   additions alone;
 * the same equation read upward is an up rung, solved forward with one exact
-  division by m per term;
+  division by m per term and its binomial sums again by Pascal's rule;
 * a_n^(k) = sum_(m=1..n) (-1)^(n+m) m! S2(n, m) m^(-k), from
-  f^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!, costs the same at every k,
-  so it replaces |k| rungs from ``S2_SUM_ABS_K`` on.
+  f^m = m! sum_n (-1)^(n-m) S2(n, m) t^n / n!, takes O(N^2) steps whatever
+  k, so it replaces |k| rungs from ``S2_SUM_ABS_K`` on.
 
 At import this module loads no computing module of polybern but ``series``
 (and the ``polynomial`` it rests on), so ``table --kind poly2nd`` loads
@@ -28,25 +28,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .caps import check_k
 from .polynomial import Polynomial, normalize_point
-from .series import Row, TruncatedSeries, _pascal_rows, log1p_series, pow1p_row
+from .series import Row, TruncatedSeries, log1p_series, pow1p_row
 
 #: Li_k(f) comes from the S2 sum from |k| = S2_SUM_ABS_K on, and from |k|
-#: rungs below it. A rung costs O(N^2) additions (down) or products (up) on
-#: values that grow with each rung; the sum costs O(N^2) products once, on
-#: weights m^(-k) that are |k| log2(N)-bit ints for k < 0 but
-#: (lcm(1..N)/m)^k, about 1.44 N k bits, for k > 0. Each route alone on a
-#: 2-vCPU VM, in CPU time, the two tie near: for k < 0, |k| = 4 at order 26,
-#: 6 at 101, 7-8 at 201, 8-12 at 401 and 14-16 at 1001 (k = -20: the rungs
-#: 1.7 s, the sum 1.3 s); for k > 0, k = 4 at order 101, 6 at 201, 10 at 401,
-#: 11 at 601 and 12-13 at 1001 (k = 12: 48 s against 53 s). The threshold
-#: follows the large orders, where the cost is, and stays above 5, so the
-#: default k of ``verify`` (-5..5) read no Stirling row and Theorem 2 checks
-#: the gf independently.
-S2_SUM_ABS_K = 12
+#: rungs below it. Each route alone on a 2-vCPU VM, in CPU time, the sum
+#: ties the down rungs near |k| = 3 and beats the up rungs from k = 3 at
+#: orders 26-401 (order 401: k = -6 15 against 30 ms, k = 6 54 against
+#: 202 ms). The threshold is the least that keeps the default k of
+#: ``verify`` (-5..5) on the rungs, which read no Stirling number, so that
+#: Theorem 2, whose weights ``_li_coeff`` sums over the Stirling triangle,
+#: checks the gf independently.
+S2_SUM_ABS_K = 6
 
 
 def _inverse_powers(k: int, n: int) -> tuple[list[int], int]:
@@ -76,26 +73,37 @@ def _down_rung(li: Row) -> Row:
 
 
 def _up_rung(li: Row, root: int) -> Row:
-    """Li_(j+1)(f) from Li_j(f) by the down rung solved forward:
-    m G_m = L_m - sum_(i=2..m) C(m, i) G_(m-i+1). With Li_j(f) over
-    lcm(1..N)^j and ``root`` = lcm(1..N), Li_(j+1)(f) goes over
-    lcm(1..N)^(j+1), where the S2 sum shows its numerators are ints, so
-    each division by m is exact."""
+    """Li_(j+1)(f) from Li_j(f) by the down rung solved forward: with
+    g_i = G_(i+1), L_m = sum_(i<m) C(m, i) g_i, so m g_(m-1) = L_m - S_m,
+    S_m = sum_(i<=m-2) C(m, i) g_i. S_m comes from Pascal's rule in additions:
+    ``diagonal`` holds the last antidiagonal of the neighbour-sum table of
+    g_0..g_(m-2); its prefix sums are the next one with g_(m-1) = 0, and S_m
+    is their sum. g_(m-1) enters every entry of that antidiagonal once.
+    With Li_j(f) over lcm(1..N)^j and ``root`` = lcm(1..N), Li_(j+1)(f)
+    goes over lcm(1..N)^(j+1), where the S2 sum shows its numerators are
+    ints, so each division by m is exact."""
     nums, den = li
-    out = [0]
-    for m, row in zip(range(1, len(nums)), _pascal_rows(1)):
-        out.append((root * nums[m] - sum(map(mul, row[2:], out[m - 1 : 0 : -1]))) // m)
+    diagonal, out = [], [0]
+    for m in range(1, len(nums)):
+        diagonal = list(accumulate(diagonal, initial=0))
+        g = (root * nums[m] - sum(diagonal)) // m
+        diagonal = list(map(add, diagonal, repeat(g)))
+        out.append(g)
     return out, den * root
 
 
 def _s2_sum(order: int, k: int) -> Row:
-    """a_0^(k)..a_order^(k) by the S2 sum, every n at once: the signed row
-    U(n, m) = (-1)^(n+m) m! S2(n, m) follows U(n+1, m) = m (U(n, m-1) - U(n, m))."""
+    """a_0^(k)..a_order^(k) by the S2 sum a_n = sum_m U(n, m) w_m, with
+    U(n, m) = (-1)^(n+m) m! S2(n, m) and w_m = m^(-k), every n at once. The
+    recurrence U(n+1, m) = m (U(n, m-1) - U(n, m)) moves onto the weights:
+    a_(n+1) is the same sum over U(n, .) with w'_m = (m+1) w_(m+1) - m w_m,
+    and U(0, .) picks w_0, so a_n is w_0 after n such steps. Each step
+    multiplies by small ints only, whatever the size of the weights."""
     powers, den = _inverse_powers(k, order)
-    signed, out = [1], [0]  # U(0, 0..0); a_0 = 0
-    for _ in range(order):
-        signed = [0, *(m * (a - b) for m, (a, b) in enumerate(zip(signed, signed[1:] + [0]), 1))]
-        out.append(sum(map(mul, signed[1:], powers)))
+    w, out = [0, *powers], []
+    for _ in range(order + 1):
+        out.append(w[0])
+        w = [(m + 1) * b - m * a for m, (a, b) in enumerate(zip(w, w[1:]))]
     return out, den
 
 
