@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add
 
 from .caps import check_k
 from .polynomial import Polynomial, normalize_point
