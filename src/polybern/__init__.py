@@ -19,6 +19,7 @@ _EXPORTS = {
         "constant_series",
         "exp_series",
         "log1p_series",
+        "polylog_series",
         "pow1p_series",
         "t_series",
     ),
@@ -39,13 +40,12 @@ _EXPORTS = {
         "gregory_coefficients",
         "higher_order_bernoulli_poly",
     ),
+    "gf": ("poly_b2nd_values",),
     "polybernoulli": (
         "IDENTITIES",
         "VerificationReport",
         "poly_b2nd_theorem1",
         "poly_b2nd_theorem2",
-        "poly_b2nd_values",
-        "polylog_series",
         "theorem3_rhs",
         "theorem4_rhs",
         "verify_identity",

@@ -27,8 +27,7 @@ nested powers (``(2^40)^40`` multiplies to 1600), so a literal raised to
 powers stays small enough to compute and print quickly. The order of ``Li``
 is at most ``MAX_ABS_K`` in absolute value. Each cap is a ``ParseError`` at
 the offending token, before anything is evaluated. The literal and ``Li``
-caps live in ``caps``; ``polybernoulli`` is imported only to evaluate a
-``Li``.
+caps live in ``caps``.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .caps import MAX_ABS_K, MAX_LITERAL_DIGITS
 from .series import (
     TruncatedSeries,
     constant_series,
+    polylog_series,
     pow1p_series,
     t_series,
 )
@@ -340,8 +340,6 @@ def _eval_at(node: object, order: int) -> TruncatedSeries:
         if node.name == "pow1p":
             return pow1p_series(node.args[0], order)
         if node.name == "Li":
-            from .polybernoulli import polylog_series
-
             return polylog_series(node.args[0], _eval_at(node.args[1], order))
         inner = _eval_at(node.args[0], order)
         return inner.exp() if node.name == "exp" else inner.log1p()

@@ -3,7 +3,7 @@
     Li_k(1 - e^(-t)) / log(1+t) * (1+t)^x.
 
 Its inner series f = 1 - e^(-t) never changes, so Li_k(f) has closed forms
-that the general polylog (``polybernoulli.polylog_series``) cannot use. On
+that the general polylog (``series.polylog_series``) cannot use. On
 the egf ints L_n = n! [t^n] Li_k(f):
 
 * Li_1(f) = t, and Li_0(f) = f / (1 - f) = e^t - 1, all ones past L_0;

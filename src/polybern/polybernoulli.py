@@ -43,67 +43,10 @@ from .polynomial import (
     homogeneous_horner,
     normalize_point,
 )
-from .series import (
-    TruncatedSeries,
-    constant_series,
-    log1p_series,
-    t_series,
-)
+from .series import log1p_series, polylog_series, t_series  # noqa: F401 (re-exported)
 
 Scalar = Union[int, Fraction]
 Value = Union[Fraction, Polynomial]
-
-
-#: Horner's rule computes Li_k(f) when k >= HORNER_PER_TERM_POS_K * s or
-#: k <= -HORNER_PER_TERM_NEG_K * s, s the number of nonzero terms of f.
-#: Horner's weights 1/m^k grow with k > 0, while m^|k| for k < 0 are ints,
-#: so k > 0 stays on the ladder longer. Each route alone on a 2-vCPU VM, the
-#: ladder from Li_0, the two tied near |k| / s of: for k > 0, 10-15 on t at
-#: N = 30-200, 20-40 on t + t^3, 24 on a five-term series at N = 30 (and
-#: past 60 at N = 100) and 30-35 on the dense 1 - e^(-t) at N = 30; for
-#: k < 0, 10-20 on t, 13-15 on t + t^3, 12-27 on five terms and 8-10 on
-#: 1 - e^(-t).
-HORNER_PER_TERM_POS_K = 35
-HORNER_PER_TERM_NEG_K = 15
-
-
-def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
-    """Li_k(f) = sum_{m>=1} f^m / m^k for a series f with zero constant term.
-
-    Terms with m > N = f.order cannot contribute, because f has positive
-    valuation v. The polylog is solved from its differential equation in
-    theta = t d/dt, with D = theta(f) / f:
-
-        Li_0(f) = f / (1 - f),
-        theta Li_{j+1}(f) = Li_j(f) * D,    Li_{j-1}(f) = theta Li_j(f) / D,
-
-    one series product or quotient per rung (Brent and Kung, J. ACM 1978).
-    D = theta(f) / f is known only to order N - v, but Li_j(f) has valuation
-    v and D is a unit, so neither step reads D beyond that and zeros pad it
-    back to order N. Horner's rule on the N terms is used instead when
-    |k| >= c s, s the number of nonzero terms of f and c one of
-    ``HORNER_PER_TERM_POS_K`` and ``HORNER_PER_TERM_NEG_K`` by the sign of k:
-    each of its steps multiplies by those s terms in raw ``Fraction``s, while
-    the ladder takes |k| dense rungs.
-
-    It serves ``Li(k, f)`` in ``eval``; the gf's own 1 - e^(-t) takes the
-    closed-form route of ``gf``.
-    """
-    n = inner.order
-    per_term = HORNER_PER_TERM_POS_K if k > 0 else HORNER_PER_TERM_NEG_K
-    if abs(k) >= per_term * inner._nonzero_terms():
-        weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
-        return TruncatedSeries.from_coeffs(weights, n).compose(inner)
-    inner._require_no_constant_term()
-    v = inner.valuation()
-    nums, den = inner.theta().div_valuation(inner, v)._egf
-    d = TruncatedSeries.from_egf(nums + (0,) * v, den)
-    li = inner.div_unit(constant_series(Fraction(1), n) - inner)
-    for _ in range(k):
-        li = (li * d).theta_inverse()
-    for _ in range(-k):
-        li = li.theta().div_unit(d)
-    return li
 
 
 # -- closed sums -------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_polylog_rejects_nonzero_constant_term():
 
 
 def test_polylog_routes_only_large_k_through_horner(monkeypatch):
-    up, down = polybernoulli.HORNER_PER_TERM_POS_K, polybernoulli.HORNER_PER_TERM_NEG_K
+    up, down = series.HORNER_PER_TERM_POS_K, series.HORNER_PER_TERM_NEG_K
     assert (up, down) == (35, 15)
     composed = []
     original = TruncatedSeries.compose

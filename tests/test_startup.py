@@ -53,7 +53,7 @@ def test_importing_the_cli_loads_only_the_package_and_the_cli():
         (("table", "--help"), {"polybern", "polybern.cli"}),
         (("eval", "--help"), {"polybern", "polybern.cli"}),
         (("eval", "--expr", "exp(t) / (1 - 2*t)^2 + log1p(t)", "--order", "4"), EVAL),
-        (("eval", "--expr", "Li(2, t)", "--order", "4"), EVAL | POLY),
+        (("eval", "--expr", "Li(2, t)", "--order", "4"), EVAL),
         (("table", "--kind", "bernoulli", "-n", "3"), TABLES),
         (("table", "--kind", "bernoulli2nd", "-n", "3", "--x", "1/2", "--convention", "ogf"), TABLES),
         (("table", "--kind", "higher-order", "-n", "3"), TABLES),
@@ -98,7 +98,10 @@ def test_a_usage_error_loads_no_computation():
 # ``polybern/__init__`` bound them when it imported every submodule.
 EXPORTS = {
     "polynomial": ["Polynomial", "X"],
-    "series": ["TruncatedSeries", "constant_series", "exp_series", "log1p_series", "pow1p_series", "t_series"],
+    "series": [
+        "TruncatedSeries", "constant_series", "exp_series", "log1p_series",
+        "polylog_series", "pow1p_series", "t_series",
+    ],
     "combinatorics": [
         "binomial", "falling_factorial", "falling_factorial_at", "falling_factorial_poly",
         "stirling1", "stirling2", "to_falling_basis", "to_monomial_basis",
@@ -107,9 +110,10 @@ EXPORTS = {
         "bernoulli_numbers", "bernoulli2nd_numbers", "bernoulli2nd_poly",
         "gregory_coefficients", "higher_order_bernoulli_poly",
     ],
+    "gf": ["poly_b2nd_values"],
     "polybernoulli": [
         "IDENTITIES", "VerificationReport", "poly_b2nd_theorem1", "poly_b2nd_theorem2",
-        "poly_b2nd_values", "polylog_series", "theorem3_rhs", "theorem4_rhs", "verify_identity",
+        "theorem3_rhs", "theorem4_rhs", "verify_identity",
     ],
     "expr": ["EvalError", "ParseError", "eval_expr", "parse_expr"],
 }

@@ -52,3 +52,12 @@ def test_every_traced_layer_function_exists():
 def test_every_traced_cache_is_an_lru_cache(counter):
     mod, path = shim_tables()["CACHES"][counter]
     assert hasattr(resolve(mod, path), "cache_info"), counter
+
+
+def test_eval_calls_the_polylog_object_the_tracer_wraps():
+    # The tracer replaces ``polybernoulli.polylog_series`` by identity in each
+    # namespace that holds it; ``eval``'s ``Li`` calls it through ``expr``.
+    expr, series, polybernoulli = (
+        importlib.import_module(f"polybern.{name}") for name in ("expr", "series", "polybernoulli")
+    )
+    assert expr.polylog_series is series.polylog_series is polybernoulli.polylog_series
