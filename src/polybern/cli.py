@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -33,9 +34,9 @@ _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
 #: The largest sizes the CLI accepts; a larger value is a usage error. They
 #: do not bound the cost of a large k. On a 2-vCPU VM ``table --kind poly2nd
-#: -n 1000`` takes 11-14 s at k = -3, 25 s at k = 5, 37 s at k = 12 and 25 s
-#: at k = -999, nearly all of it the quotient by log(1+t); ``-k 1000 -n 100``
-#: takes 21 s. At k > 0 the values carry lcm(1..n)^k, so ``-k 20000 -n 1000``
+#: -n 1000`` takes 10-13 s at k = -3, 21-29 s at k = 5, 42-48 s at k = 12 and
+#: 33-36 s at k = -999, nearly all of it the quotient by log(1+t);
+#: ``-k 1000 -n 100`` takes 20-23 s. At k > 0 the values carry lcm(1..n)^k, so ``-k 20000 -n 1000``
 #: would need gigabytes. ``verify thm4``, which checks (n+1)^2 points per n,
 #: takes 17 s and 171 MB at n = 50.
 MAX_TABLE_N = 1000
@@ -351,7 +352,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_value_flags(argv))
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``). Point stdout at /dev/null so
+        # that the flush at exit does not raise again, and say nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -33,8 +33,8 @@ from .bernoulli import (
     higher_order_bernoulli_poly,
 )
 from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .combinatorics import stirling1, stirling2
-from .gf import _gf_values, _li_coeff, poly_b2nd_values  # noqa: F401 (re-exported)
+from .combinatorics import stirling1, stirling2, stirling2_row
+from .gf import _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
 from .polynomial import (
     Polynomial,
     X,
@@ -54,6 +54,23 @@ Value = Union[Fraction, Polynomial]
 # weights w_l, which depend on n and k alone: B_l/(l+1) (Theorem 1, k = 2),
 # a_{l+1}^(k)/(l+1) (Theorem 2) and a_l^(k) (Theorem 3, where a_0^(k) = 0
 # turns the sum over p = 1..n into a convolution from 0).
+
+
+def _li_coeff(n: int, k: int) -> Fraction:
+    """a_n^(k), the egf coefficient of t^n in Li_k(1 - e^(-t)), by the S2 sum
+    sum_(m=1..n) (-1)^(n+m) m! S2(n, m) m^(-k) over the cached row
+    ``stirling2_row(n)``: the weights of Theorems 2 and 3 read the Stirling
+    triangle, and nothing of the gf. For k > 0 the m^(-k) go over
+    lcm(1..n)^k, as (lcm(1..n)/m)^k."""
+    root = math.lcm(*range(1, n + 1)) if k > 0 else 1
+    s2 = stirling2_row(n)
+    total, factorial = 0, 1
+    for m in range(1, n + 1):
+        factorial *= m
+        term = factorial * s2[m] * ((root // m) ** k if k > 0 else m**-k)
+        total += -term if (n + m) % 2 else term
+    return Fraction(total, root ** max(k, 0))
+
 
 _WEIGHT_TERMS: dict[str, Callable[[int | None, int, int], list[Fraction]]] = {
     "thm1": lambda k, lo, hi: [b / (l + 1) for l, b in enumerate(bernoulli_numbers(hi)[lo:], lo)],
@@ -244,7 +261,8 @@ def _point_label(x: Value) -> str:
 
 
 def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
-    xs = list(xs)
+    """Each distinct point once: the rationals in order, then the symbolic ones."""
+    xs = dict.fromkeys(xs)
     numeric = sorted(x for x in xs if not isinstance(x, Polynomial))
     symbolic = [x for x in xs if isinstance(x, Polynomial)]
     return tuple(numeric + symbolic)
@@ -452,7 +470,8 @@ def verify_identity(
 
     ``ks``/``xs`` restrict the default parameter sets where the identity
     accepts them; passing them for an identity that has no such parameter is
-    an error. Points are reported in lexicographic (n, k, x, y) order.
+    an error. A repeated k or x is checked once. Points are reported in
+    lexicographic (n, k, x, y) order.
     """
     spec = IDENTITIES.get(name)
     if spec is None:
@@ -464,7 +483,7 @@ def verify_identity(
     if xs is not None and spec.xs is None:
         raise ValueError(f"identity {name!r} does not take x points")
     if spec.ks is not None:
-        ks = tuple(sorted(check_k(k) for k in (spec.ks if ks is None else ks)))
+        ks = tuple(sorted({check_k(k) for k in (spec.ks if ks is None else ks)}))
     if spec.xs is not None:
         xs = _sorted_points(normalize_point(x) for x in (spec.xs if xs is None else xs))
     spec = spec._replace(ks=ks, xs=xs)

@@ -208,6 +208,21 @@ def test_verify_json_format(capsys):
     assert all(point["ok"] for point in payload["checked"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_checks_a_repeated_point_once(capsys, fmt):
+    def run(points):
+        return run_cli(capsys, "verify", "--identity", "thm3", "--n-max", "2", "--x", points, "--format", fmt)
+
+    once = run("1/2")
+    assert once[0] == 0
+    assert run("1/2,2/4") == run("2/4,1/2,1/2") == once
+    if fmt == "json":
+        payload = json.loads(once[1])
+        assert payload["points"] == 2 * 7 and payload["range"]["x"] == "1/2"
+    else:
+        assert "; x=1/2\n" in once[1] and "points checked: 14\n" in once[1]
+
+
 def test_verify_forced_failure_exits_one(capsys, monkeypatch):
     # An intentionally wrong identity fixture: the eq9 checker claims the
     # k=1 table equals b_n(x) + 1.
@@ -503,6 +518,28 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines() == ["n,value", "0,1", "1,-1/2", "2,1/6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expr", "exp(t)", "--order", "1000"],
+        ["verify", "--identity", "thm2", "--n-max", "20", "--format", "json"],
+    ],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv):
+    # Each output is larger than a pipe's buffer, so the command is still
+    # writing when the reader closes the pipe after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polybern", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

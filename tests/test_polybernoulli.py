@@ -153,16 +153,15 @@ def test_polylog_ladder_in_any_order_matches_the_defining_sum(inner, rng):
 
 
 def test_the_gf_routes_equal_the_general_polylog():
-    # Li_k(1 - e^(-t)) by the gf's own routes against polylog_series, which
+    # Li_k(1 - e^(-t)) by the gf's S2 sum against polylog_series, which
     # solves the general ladder (or Horner's rule) on the raw inner series.
-    for order, ks, route in (
-        (40, range(-13, 14), gf._rungs),
-        (40, range(-14, 15), gf._s2_sum),
-        (60, (-300, 300), gf._s2_sum),
-    ):
+    cases = [(order, range(-7, 8)) for order in range(13)]
+    cases += [(40, range(-14, 15)), (60, (-300, 300))]
+    for order, ks in cases:
         inner = one_minus_exp_neg(order)
         for k in ks:
-            assert TruncatedSeries.from_egf(*route(order, k)) == polylog_series(k, inner), (order, k)
+            got = TruncatedSeries.from_egf(*gf._s2_sum(order, k))
+            assert got == series.polylog_series(k, inner), (order, k)
 
 
 def test_the_s2_sum_equals_the_weights_of_theorem2():
@@ -171,49 +170,69 @@ def test_the_s2_sum_equals_the_weights_of_theorem2():
         assert [F(c, den) for c in nums] == [polybernoulli._li_coeff(n, k) for n in range(26)], k
 
 
-def test_the_gf_picks_its_polylog_route_by_k(monkeypatch):
-    threshold = gf.S2_SUM_ABS_K
-    assert threshold > 5
+def test_the_gf_takes_the_s2_sum_once_per_miss(monkeypatch):
     calls = []
-    for name in ("_down_rung", "_up_rung", "_s2_sum"):
-        original = getattr(gf, name)
+    original = gf._s2_sum
 
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    def counted(order, k):
+        calls.append((order, k))
+        return original(order, k)
 
-        monkeypatch.setattr(gf, name, counted)
-    for k in range(-threshold - 2, threshold + 3):
-        calls.clear()
-        gf._polylog(12, k)
-        if abs(k) >= threshold:
-            assert calls == ["_s2_sum"], k
-        elif k <= 0:
-            assert calls == ["_down_rung"] * -k, k
-        else:
-            assert calls == ["_up_rung"] * (k - 1), k
+    monkeypatch.setattr(gf, "_s2_sum", counted)
+    gf._gf_values.cache_clear()
+    try:
+        for k in range(-8, 9):
+            calls.clear()
+            gf._gf_values(12, k)
+            gf._gf_values(12, k)
+            assert calls == [(13, k)], k
+    finally:
+        gf._gf_values.cache_clear()
 
 
 def test_the_gf_reads_no_stirling_row_at_the_default_k_of_verify(monkeypatch):
     # Theorem 2 takes its weights from _li_coeff, the S2 sum over
     # stirling2_row. The gf must not read them at any k that verify checks
-    # by default, so that thm2 stays an independent check of the gf.
+    # by default, nor beyond, so that thm2 stays an independent check of
+    # the gf.
     from polybern.cli import MAX_VERIFY_N
 
     def refuse(*args):
-        raise AssertionError("the gf read the S2 sum")
+        raise AssertionError("the gf read the Stirling triangle")
 
-    for module, name in ((combinatorics, "stirling2_row"), (gf, "_li_coeff"), (gf, "_s2_sum")):
+    for module, name in ((combinatorics, "stirling2_row"), (polybernoulli, "_li_coeff")):
         monkeypatch.setattr(module, name, refuse)
     ks = {k for spec in IDENTITIES.values() for k in spec.ks or ()}
     assert ks == set(range(-5, 6))
     polybernoulli._gf_values.cache_clear()
     try:
-        for k in sorted(ks):
+        for k in sorted(ks | {-14, -6, 6, 14}):
             for n in range(MAX_VERIFY_N + 1):
                 assert polybernoulli._gf_values(n, k).order == n
     finally:
         polybernoulli._gf_values.cache_clear()
+
+
+def test_the_closed_sum_weights_call_nothing_of_the_gf(monkeypatch):
+    # _li_coeff is the route of Theorems 2 and 3 over stirling2_row; it
+    # shares no code with the gf's S2 sum, which it checks.
+    ks = [*range(-5, 6), -14, 14]
+    expected = {}
+    for k in ks:
+        nums, den = gf._s2_sum(26, k)
+        expected["thm3", k] = [F(c, den) for c in nums]
+        expected["thm2", k] = [F(c, den) / n for n, c in enumerate(nums[1:], 1)]
+
+    def refuse(*args):
+        raise AssertionError("the closed sums called the gf")
+
+    for name in ("_s2_sum", "_inverse_powers"):
+        monkeypatch.setattr(gf, name, refuse)
+    monkeypatch.setattr(polybernoulli, "_WEIGHTS", {})
+    for family in ("thm2", "thm3"):
+        for k in ks:
+            nums, den = polybernoulli._weights(family, k, 25)
+            assert [F(c, den) for c in nums[:26]] == expected[family, k][:26], (family, k)
 
 
 def test_gf_reduces_to_second_kind_at_k1():
@@ -543,13 +562,13 @@ def test_caches_do_not_grow_with_the_number_of_points():
 @pytest.mark.parametrize("name", ["thm2", "thm3", "thm4"])
 def test_verify_composes_the_polylog_once_per_k(monkeypatch, name):
     composed = []
-    original = gf._polylog
+    original = gf._s2_sum
 
     def counted(order, k):
         composed.append(k)
         return original(order, k)
 
-    monkeypatch.setattr(gf, "_polylog", counted)
+    monkeypatch.setattr(gf, "_s2_sum", counted)
     polybernoulli._gf_values.cache_clear()
     assert verify_identity(name, 6).passed
     assert sorted(composed) == list(IDENTITIES[name].ks)
@@ -564,6 +583,10 @@ def test_verify_identity_passes_on_small_ranges():
     assert report.passed and report.status == "pass"
     assert report.total == 11 * 6
     assert report.failures == []
+
+    report = verify_identity("thm2", 3, ks=[1, 1])
+    assert report.total == 4 * len(IDENTITIES["thm2"].xs)
+    assert report.range_spec["k"] == "1"
 
     report = verify_identity("eq9", 12)
     assert report.passed and report.total == 13
