@@ -17,7 +17,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial, X, common_denominator
+from .polynomial import Polynomial, X, common_denominator, exact, normalize_point
 
 Scalar = Union[int, Fraction]
 
@@ -34,10 +34,12 @@ def binomial(n: int, k: int) -> Fraction:
 def falling_factorial(x: Scalar | Polynomial, n: int):
     """(x)_n = x (x-1) ... (x-n+1), with (x)_0 = 1.
 
-    Works for rational and polynomial arguments alike.
+    Works for rational and polynomial arguments alike; a ``float`` raises
+    ``TypeError``.
     """
     if n < 0:
         raise ValueError("falling factorial requires n >= 0")
+    x = normalize_point(x)
     result = Fraction(1)
     for i in range(n):
         result = result * (x - i)
@@ -46,7 +48,7 @@ def falling_factorial(x: Scalar | Polynomial, n: int):
 
 def falling_factorial_at(x: Scalar, n: int) -> Fraction:
     """Exact value of (x)_n at a rational point."""
-    return falling_factorial(Fraction(x), n)
+    return falling_factorial(exact(x, "a point must be an int or Fraction"), n)
 
 
 def falling_factorial_poly(n: int) -> Polynomial:

@@ -28,19 +28,19 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .bernoulli import (
+    bernoulli2nd_numbers,
     bernoulli2nd_poly,
     bernoulli_numbers,
     higher_order_bernoulli_poly,
 )
 from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .combinatorics import stirling1, stirling2, stirling2_row
+from .combinatorics import binomial_falling_poly, stirling1, stirling2, stirling2_row
 from .gf import _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
 from .polynomial import (
     Polynomial,
     X,
     appended,
     common_denominator,
-    homogeneous_horner,
     normalize_point,
 )
 from .series import log1p_series, polylog_series, t_series  # noqa: F401 (re-exported)
@@ -91,49 +91,40 @@ def _weights(family: str, k: int | None, n: int) -> tuple[tuple[int, ...], int]:
     return row
 
 
-def _b2nd_row(n: int, x: Fraction) -> tuple[list[int], int]:
-    """b_0(x)..b_n(x) at a rational x as ints over one common denominator,
-    each by the homogeneous Horner rule on the int row of
-    ``bernoulli2nd_poly(m)``: the S1 basis change, not the gf's own x-shift
-    ``pow1p_row``."""
-    a, c = x.numerator, x.denominator
-    rows = [bernoulli2nd_poly(m).int_row for m in range(n + 1)]
-    den = math.lcm(*[d for _, d in rows])
-    # b_m(a/c) = H_m / (d_m c^m), so over den c^n its numerator is
-    # H_m (den / d_m) c^(n-m).
-    return [
-        homogeneous_horner(nums, a, c) * (den // d) * c ** (n - m)
-        for m, (nums, d) in enumerate(rows)
-    ], den * c**n
-
-
-def _convolution(family: str, n: int, k: int | None) -> Polynomial:
-    """The closed sum of ``family`` as a polynomial in x, for a symbolic point.
-
-    The weights and each b_m(X) go over their common denominators, and the
-    b_m over the lcm of theirs, so every coefficient is one int sum."""
+def _x_free_sums(family: str, n: int, k: int | None) -> tuple[list[int], int]:
+    """v_0..v_n, the closed sum of ``family`` at x = 0 for each m <= n, as
+    ints over one common denominator: the egf convolution
+    v_m = sum_l C(m, l) w_l b_(m-l) of the weights with the numbers
+    ``bernoulli2nd_numbers(n)``, that is, the coefficients of W(t) t/log(1+t).
+    The closed sum at any x is then V(t) (1+t)^x, the gf's shape."""
     w, w_den = _weights(family, k, n)
-    polys = {l: bernoulli2nd_poly(n - l).int_row for l in range(n + 1) if w[l]}
-    b_den = math.lcm(*[den for _, den in polys.values()])  # a list, as in common_denominator
-    out = [0] * (n + 1)
-    for l, (coeffs, den) in polys.items():
-        scale = math.comb(n, l) * w[l] * (b_den // den)
-        for j, c in enumerate(coeffs):
-            out[j] += scale * c
-    return Polynomial(tuple(Fraction(c, w_den * b_den) for c in out))
+    b, b_den = common_denominator(bernoulli2nd_numbers(n))
+    sums = [sum(math.comb(m, l) * w[l] * b[m - l] for l in range(m + 1) if w[l]) for m in range(n + 1)]
+    return sums, w_den * b_den
+
+
+def _shift_sum(nums: list[int], n: int, a: int, c: int) -> int:
+    """sum_l C(n, l) nums[n-l] c^(n-l) (x)_l c^l at x = a/c: c^n times the egf
+    coefficient n of V(t) (1+t)^x, where V has egf coefficients nums[m] (over
+    any one denominator). (x)_l c^l = prod_{i<l} (a - i c), so it is one int
+    sum."""
+    total, falling = 0, 1  # falling = (x)_l c^l
+    for l in range(n + 1):
+        total += math.comb(n, l) * nums[n - l] * falling * c ** (n - l)
+        falling *= a - l * c
+    return total
 
 
 def _closed_form(family: str, n: int, k: int | None, x: Scalar | Polynomial, row=None) -> Value:
-    """The closed sum of ``family`` at x. At a rational x it is one int sum
-    over x's value row b_m(x) = nums[m] / den (``_b2nd_row``, at least n + 1
-    entries), built here unless the caller passes it as ``row``."""
+    """The closed sum of ``family`` at x: its x-free sums v_m = nums[m] / den
+    (``_x_free_sums``, at least n + 1 of them), built here unless the caller
+    passes them as ``row``, moved to x as the gf is, sum_l C(n, l) v_(n-l) (x)_l.
+    A rational x takes one int sum, a symbolic x the basis change to x^j."""
     x = normalize_point(x)
+    nums, den = row or _x_free_sums(family, n, k)
     if isinstance(x, Polynomial):
-        return _convolution(family, n, k)(x)
-    w, w_den = _weights(family, k, n)
-    nums, den = row or _b2nd_row(n, x)
-    total = sum(math.comb(n, l) * w[l] * nums[n - l] for l in range(n + 1) if w[l])
-    return Fraction(total, w_den * den)
+        return binomial_falling_poly((nums, den), n)(x)
+    return Fraction(_shift_sum(nums, n, x.numerator, x.denominator), den * x.denominator**n)
 
 
 def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
@@ -169,11 +160,7 @@ def _addition_sum(row: tuple[list[int], int], n: int, y: Fraction) -> Fraction:
     sum over den c^n."""
     nums, den = row
     a, c = y.numerator, y.denominator
-    total, falling = 0, 1  # falling = (y)_l c^l
-    for l in range(n + 1):
-        total += math.comb(n, l) * nums[n - l] * falling * c ** (n - l)
-        falling *= a - l * c
-    return Fraction(total, den * c**n)
+    return Fraction(_shift_sum(nums, n, a, c), den * c**n)
 
 
 def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Fraction:
@@ -246,7 +233,6 @@ class IdentitySpec(NamedTuple):
     x points, and ``None`` means the identity takes no such parameter."""
 
     name: str
-    summary: str
     checker: Checker
     params: tuple[str, ...]
     ks: tuple[int, ...] | None = None
@@ -268,40 +254,34 @@ def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
     return tuple(numeric + symbolic)
 
 
-def _value_rows(n_max: int, xs) -> dict[Fraction, tuple[list[int], int]]:
-    """The value row b_0(x)..b_{n_max}(x) of each rational x, built once for
-    every closed sum a checker takes there."""
-    return {x: _b2nd_row(n_max, x) for x in xs if not isinstance(x, Polynomial)}
-
-
 def _check_thm1(n_max, ks, xs):
     rows = {x: poly_b2nd_values(n_max, 2, x) for x in xs}
-    b_rows = _value_rows(n_max, xs)
+    sums = _x_free_sums("thm1", n_max, None)
     for n in range(n_max + 1):
         for x in xs:
-            lhs = _closed_form("thm1", n, None, x, b_rows.get(x))
+            lhs = _closed_form("thm1", n, None, x, sums)
             yield (n, _point_label(x)), lhs, rows[x][n]
 
 
 def _check_thm2(n_max, ks, xs):
     rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in xs}
-    b_rows = _value_rows(n_max, xs)
+    sums = {k: _x_free_sums("thm2", n_max, k) for k in ks}
     for n in range(n_max + 1):
         for k in ks:
             for x in xs:
-                lhs = _closed_form("thm2", n, k, x, b_rows.get(x))
+                lhs = _closed_form("thm2", n, k, x, sums[k])
                 yield (n, k, _point_label(x)), lhs, rows[k, x][n]
 
 
 def _check_thm3(n_max, ks, xs):
     points = set(xs) | {x + 1 for x in xs}
     rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
-    b_rows = _value_rows(n_max, xs)
+    sums = {k: _x_free_sums("thm3", n_max, k) for k in ks}
     for n in range(1, n_max + 1):
         for k in ks:
             for x in xs:
                 lhs = rows[k, x + 1][n] - rows[k, x][n]
-                rhs = _closed_form("thm3", n, k, x, b_rows.get(x))
+                rhs = _closed_form("thm3", n, k, x, sums[k])
                 yield (n, k, _point_label(x)), lhs, rhs
 
 
@@ -384,60 +364,20 @@ def _check_stirling_inversion(n_max, ks, xs):
 IDENTITIES: dict[str, IdentitySpec] = {
     spec.name: spec
     for spec in (
-        IdentitySpec(
-            "thm1",
-            "k=2 closed formula (classical Bernoulli weights) vs generating function",
-            _check_thm1,
-            ("n", "x"),
-            xs=_DEFAULT_POINTS,
-        ),
-        IdentitySpec(
-            "thm2",
-            "all-k closed formula (Stirling weights) vs generating function",
-            _check_thm2,
-            ("n", "k", "x"),
-            ks=tuple(range(-5, 6)),
-            xs=_DEFAULT_POINTS,
-        ),
+        IdentitySpec("thm1", _check_thm1, ("n", "x"), xs=_DEFAULT_POINTS),
+        IdentitySpec("thm2", _check_thm2, ("n", "k", "x"), ks=tuple(range(-5, 6)), xs=_DEFAULT_POINTS),
         IdentitySpec(
             "thm3",
-            "forward difference b(x+1)-b(x) vs its double-sum expansion",
             _check_thm3,
             ("n", "k", "x"),
             ks=tuple(range(-3, 4)),
             xs=(Fraction(0), Fraction(1, 2), Fraction(-2)),
         ),
-        IdentitySpec(
-            "thm4",
-            "argument-addition formula on a distinct-rational evaluation grid",
-            _check_thm4,
-            ("n", "k", "x", "y"),
-            ks=tuple(range(-2, 4)),
-        ),
-        IdentitySpec(
-            "eq9",
-            "k=1 table reduces to the Bernoulli polynomials of the second kind",
-            _check_eq9,
-            ("n", "x"),
-        ),
-        IdentitySpec(
-            "eq2",
-            "basis expansion of b_n(x) vs the generating function, symbolically",
-            _check_eq2,
-            ("n", "x"),
-        ),
-        IdentitySpec(
-            "b-equals-higher-order",
-            "b_n(x) equals the order-n higher-order Bernoulli polynomial at x+1",
-            _check_b_equals_higher_order,
-            ("n",),
-        ),
-        IdentitySpec(
-            "stirling-inversion",
-            "composition of the two Stirling triangles is the identity",
-            _check_stirling_inversion,
-            ("n", "m"),
-        ),
+        IdentitySpec("thm4", _check_thm4, ("n", "k", "x", "y"), ks=tuple(range(-2, 4))),
+        IdentitySpec("eq9", _check_eq9, ("n", "x")),
+        IdentitySpec("eq2", _check_eq2, ("n", "x")),
+        IdentitySpec("b-equals-higher-order", _check_b_equals_higher_order, ("n",)),
+        IdentitySpec("stirling-inversion", _check_stirling_inversion, ("n", "m")),
     )
 }
 

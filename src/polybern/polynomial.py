@@ -30,7 +30,7 @@ class Polynomial:
     """
 
     def __init__(self, coeffs: Iterable[Scalar]) -> None:
-        cleaned = [Fraction(c) for c in coeffs]
+        cleaned = list(map(exact, coeffs))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
@@ -44,7 +44,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -203,14 +203,22 @@ class Polynomial:
         return " ".join(parts)
 
 
+def exact(value: object, must: str = "a coefficient must be an int or Fraction") -> Fraction:
+    """An int or a ``Fraction`` as a ``Fraction``; anything else, a ``float``
+    included, raises ``TypeError`` rather than becoming its binary fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
+        raise TypeError(f"{must}, not {type(value).__name__}")
+    return Fraction(value)
+
+
 def normalize_point(x: "Polynomial | Scalar") -> "Polynomial | Fraction":
     """A point as a ``Polynomial`` or a ``Fraction``; anything else, a ``float``
-    included, raises ``TypeError`` rather than becoming its binary fraction."""
+    included, raises ``TypeError`` (``exact``)."""
     if isinstance(x, Polynomial):
         return x
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"a point must be an int, Fraction or Polynomial, not {type(x).__name__}")
-    return Fraction(x)
+    return exact(x, "a point must be an int, Fraction or Polynomial")
 
 
 def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:

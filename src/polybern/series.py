@@ -24,7 +24,8 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
-from .polynomial import appended, common_denominator
+from .caps import check_k
+from .polynomial import appended, common_denominator, exact
 
 Row = tuple[tuple[int, ...], int]  # (nums, L): the values nums[i] / L
 
@@ -67,7 +68,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[object]) -> None:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(exact, coeffs))
         self.order = len(self.coeffs) - 1
 
     @classmethod
@@ -356,7 +357,7 @@ def _over_powers(nums: Sequence[int], c: int, order: int) -> TruncatedSeries:
 def constant_series(value: object, order: int) -> TruncatedSeries:
     """The constant ``value`` as a series of the given order."""
     _check_order(order)
-    value = Fraction(value)
+    value = exact(value)
     return TruncatedSeries.from_egf((value.numerator,) + (0,) * order, value.denominator)
 
 
@@ -369,7 +370,7 @@ def t_series(order: int) -> TruncatedSeries:
 def exp_series(a: object, order: int) -> TruncatedSeries:
     """e^(a*t) for a rational a: egf coefficients a^j."""
     _check_order(order)
-    a = Fraction(a)
+    a = exact(a)
     return _over_powers([a.numerator**j for j in range(order + 1)], a.denominator, order)
 
 
@@ -386,7 +387,7 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
     """(1+t)^x for a rational x: egf coefficients the falling factorials (x)_j,
     which vanish past index x at an integer x >= 0."""
     _check_order(order)
-    x = Fraction(x)
+    x = exact(x)
     return _over_powers(_falling(x.numerator, x.denominator, order), x.denominator, order)
 
 
@@ -396,7 +397,7 @@ def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
     is the int sum of C(n, j) Q_(n-j) c^(n-j) (x)_j c^j over L c^n, where
     (x)_j c^j = prod_{i<j} (a - i c) vanishes past j = x at an integer x >= 0.
     """
-    x = Fraction(x)
+    x = exact(x)
     c = x.denominator
     nums, den = series._egf
     falling = _falling(x.numerator, c, series.order)
@@ -442,8 +443,10 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     the ladder takes |k| dense rungs.
 
     It serves ``Li(k, f)`` in ``eval``; the gf's own 1 - e^(-t) takes the
-    closed-form route of ``gf``.
+    closed-form route of ``gf``. A ``k`` that is not an ``int`` of at most
+    ``MAX_ABS_K`` in absolute value raises before any work (``caps.check_k``).
     """
+    check_k(k)
     n = inner.order
     per_term = HORNER_PER_TERM_POS_K if k > 0 else HORNER_PER_TERM_NEG_K
     if abs(k) >= per_term * inner._nonzero_terms():

@@ -19,7 +19,16 @@ from polybern.bernoulli import (
 )
 from polybern.polybernoulli import verify_identity
 from polybern.polynomial import Polynomial, X
-from polybern.series import TruncatedSeries, log1p_series, pow1p_series, t_series
+from polybern.combinatorics import falling_factorial, falling_factorial_at
+from polybern.series import (
+    TruncatedSeries,
+    constant_series,
+    exp_series,
+    log1p_series,
+    pow1p_row,
+    pow1p_series,
+    t_series,
+)
 
 
 def test_classical_bernoulli_values():
@@ -201,8 +210,31 @@ def test_second_kind_values_match_the_polynomials():
         lambda: higher_order_bernoulli_poly(3, 2, 0.1),
         lambda: bernoulli2nd_poly(3)(0.1),
         lambda: bernoulli2nd_values(3, 0.1),
+        lambda: TruncatedSeries([0.1]),
+        lambda: Polynomial([0.1]),
+        lambda: Polynomial.constant(0.1),
+        lambda: constant_series(0.1, 2),
+        lambda: exp_series(0.1, 2),
+        lambda: pow1p_series(0.1, 2),
+        lambda: pow1p_row(t_series(2), 0.1),
+        lambda: falling_factorial(0.5, 2),
+        lambda: falling_factorial_at(0.5, 2),
     ],
-    ids=["bernoulli_values", "higher_order_bernoulli_poly", "bernoulli2nd_poly", "bernoulli2nd_values"],
+    ids=[
+        "bernoulli_values",
+        "higher_order_bernoulli_poly",
+        "bernoulli2nd_poly",
+        "bernoulli2nd_values",
+        "TruncatedSeries",
+        "Polynomial",
+        "Polynomial.constant",
+        "constant_series",
+        "exp_series",
+        "pow1p_series",
+        "pow1p_row",
+        "falling_factorial",
+        "falling_factorial_at",
+    ],
 )
 def test_float_point_is_rejected(call):
     with pytest.raises(TypeError, match="not float"):

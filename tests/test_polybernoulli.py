@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import naive_polylog, one_minus_exp_neg_coeffs
-from polybern import bernoulli, combinatorics, gf, polybernoulli, series
+from polybern import bernoulli, combinatorics, gf, polybernoulli, polynomial, series
 from polybern.bernoulli import bernoulli2nd_poly
 from polybern.polybernoulli import (
     IDENTITIES,
@@ -90,6 +90,25 @@ def test_polylog_routes_only_large_k_through_horner(monkeypatch):
         composed.clear()
         polylog_series(k, one_minus_exp_neg(40))
         assert composed == []
+
+
+def test_polylog_checks_k_before_any_work(monkeypatch):
+    # At |k| = MAX_ABS_K the polylog of t takes Horner's rule; one past it,
+    # or a k that is not an int, is refused before the composition.
+    from polybern.caps import MAX_ABS_K
+
+    def refuse(self, inner):
+        raise AssertionError("composed")
+
+    monkeypatch.setattr(TruncatedSeries, "compose", refuse)
+    for k in (MAX_ABS_K, -MAX_ABS_K):
+        with pytest.raises(AssertionError, match="composed"):
+            polylog_series(k, t_series(1))
+    for k in (MAX_ABS_K + 1, -MAX_ABS_K - 1, 10**6):
+        with pytest.raises(ValueError, match=f"at most {MAX_ABS_K}"):
+            polylog_series(k, t_series(1))
+    with pytest.raises(TypeError, match="k must be an int, not float"):
+        polylog_series(2.0, t_series(1))
 
 
 def test_the_route_counts_terms_in_the_reading_the_series_holds():
@@ -418,6 +437,36 @@ def test_closed_sums_at_a_rational_point_use_no_gf_x_shift(monkeypatch):
     monkeypatch.setattr(bernoulli, "bernoulli2nd_values", forbidden)
     for n, k, x in cases:
         got = (poly_b2nd_theorem1(n, x), poly_b2nd_theorem2(n, k, x), theorem3_rhs(n, k, x))
+        assert got == expected[n, k, x], (n, k, x)
+
+
+def test_closed_sums_read_neither_value_rows_nor_the_gf_x_shift(monkeypatch):
+    # Theorems 1-3 move their own x-free sums to the point: no b_m(x) by
+    # bernoulli2nd_poly and Horner's rule, and no pow1p_row of the gf.
+    points = (F(-2), F(1, 2), F(7, 3))
+    ks = range(-3, 4)
+    rows = {(k, x): poly_b2nd_values(12, k, x) for k in ks for x in {*points, *(x + 1 for x in points)}}
+    cases = [(n, k, x) for n in range(13) for k in ks for x in points]
+    expected = {
+        (n, k, x): (rows[2, x][n], rows[k, x][n], rows[k, x + 1][n] - rows[k, x][n] if n else None)
+        for n, k, x in cases
+    }
+
+    def forbidden(*args):
+        raise AssertionError("a closed sum read a value row or the gf's x-shift")
+
+    for module in (series, bernoulli, gf):
+        monkeypatch.setattr(module, "pow1p_row", forbidden, raising=False)
+    for module in (bernoulli, polybernoulli):
+        monkeypatch.setattr(module, "bernoulli2nd_poly", forbidden, raising=False)
+    for module in (polynomial, polybernoulli):
+        monkeypatch.setattr(module, "homogeneous_horner", forbidden, raising=False)
+    for n, k, x in cases:
+        got = (
+            poly_b2nd_theorem1(n, x),
+            poly_b2nd_theorem2(n, k, x),
+            theorem3_rhs(n, k, x) if n else None,
+        )
         assert got == expected[n, k, x], (n, k, x)
 
 
