@@ -38,7 +38,7 @@ _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 #: 33-36 s at k = -999, nearly all of it the quotient by log(1+t);
 #: ``-k 1000 -n 100`` takes 20-23 s. At k > 0 the values carry lcm(1..n)^k, so ``-k 20000 -n 1000``
 #: would need gigabytes. ``verify thm4``, which checks (n+1)^2 points per n,
-#: takes 17 s and 171 MB at n = 50.
+#: takes 5-7 s and 41 MB at n = 50.
 MAX_TABLE_N = 1000
 MAX_VERIFY_N = 50
 MAX_ORDER = 1000
@@ -90,6 +90,16 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     _check_digits(text)
     return Fraction(text.strip())
+
+
+def _parse_point(text: str):
+    """A point of ``verify --x``: a rational literal, or ``x``, the symbolic
+    point, as reports print it."""
+    if text.strip() == "x":
+        from .polynomial import X
+
+        return X
+    return _parse_rational(text)
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -169,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--identity", required=True).choices = _IdentityNames()
     verify.add_argument("--n-max", type=_int_flag, required=True, dest="n_max")
     verify.add_argument("--k", default=None, help="int or a..b range")
-    verify.add_argument("--x", default=None, help="comma list of rationals")
+    verify.add_argument("--x", default=None, help="comma list of rationals and x, the symbolic point")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(func=cmd_verify)
 
@@ -313,7 +323,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         if args.k is not None:
             ks = _parse_k_range(args.k)
         if args.x is not None:
-            xs = [_parse_rational(part) for part in args.x.split(",") if part.strip()]
+            xs = [_parse_point(part) for part in args.x.split(",") if part.strip()]
             if not xs:
                 raise ValueError("--x needs at least one rational")
     except ValueError as exc:

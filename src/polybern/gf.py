@@ -50,9 +50,17 @@ def _s2_sum(order: int, k: int) -> Row:
     return out, den
 
 
-@lru_cache(maxsize=None)
+#: The most entries each cache of the gf and of the closed sums keeps
+#: (``_gf_values`` here, the weights and x-free sums of ``polybernoulli``):
+#: one per k of verify's default thm2, thm3 and thm4 ranges together (24),
+#: so that checking them in turn in one process builds nothing twice.
+MAX_CACHED_K = 32
+
+
+@lru_cache(maxsize=MAX_CACHED_K)
 def _gf_values(n_max: int, k: int) -> TruncatedSeries:
-    """Li_k(1 - e^(-t)) / log(1+t) at order n_max: the x-free part of the gf."""
+    """Li_k(1 - e^(-t)) / log(1+t) at order n_max: the x-free part of the gf,
+    kept for the ``MAX_CACHED_K`` latest (n_max, k)."""
     order = n_max + 1
     return TruncatedSeries.from_egf(*_s2_sum(order, k)).div_valuation(log1p_series(order), 1)
 

@@ -24,18 +24,14 @@ and returns a report.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from functools import partial
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .bernoulli import (
-    bernoulli2nd_numbers,
-    bernoulli2nd_poly,
-    bernoulli_numbers,
-    higher_order_bernoulli_poly,
-)
 from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .combinatorics import binomial_falling_poly, stirling1, stirling2, stirling2_row
-from .gf import _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
+from .gf import MAX_CACHED_K, _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
 from .polynomial import (
     Polynomial,
     X,
@@ -43,7 +39,10 @@ from .polynomial import (
     common_denominator,
     normalize_point,
 )
-from .series import log1p_series, polylog_series, t_series  # noqa: F401 (re-exported)
+from .series import Row, log1p_series, polylog_series, pow1p_nums, t_series  # noqa: F401 (re-exported)
+
+# ``bernoulli`` and ``combinatorics`` are imported by the functions that use
+# them, so ``verify --identity thm4``, which runs neither, compiles neither.
 
 Scalar = Union[int, Fraction]
 Value = Union[Fraction, Polynomial]
@@ -62,6 +61,8 @@ def _li_coeff(n: int, k: int) -> Fraction:
     ``stirling2_row(n)``: the weights of Theorems 2 and 3 read the Stirling
     triangle, and nothing of the gf. For k > 0 the m^(-k) go over
     lcm(1..n)^k, as (lcm(1..n)/m)^k."""
+    from .combinatorics import stirling2_row
+
     root = math.lcm(*range(1, n + 1)) if k > 0 else 1
     s2 = stirling2_row(n)
     total, factorial = 0, 1
@@ -72,59 +73,117 @@ def _li_coeff(n: int, k: int) -> Fraction:
     return Fraction(total, root ** max(k, 0))
 
 
-_WEIGHT_TERMS: dict[str, Callable[[int | None, int, int], list[Fraction]]] = {
-    "thm1": lambda k, lo, hi: [b / (l + 1) for l, b in enumerate(bernoulli_numbers(hi)[lo:], lo)],
-    "thm2": lambda k, lo, hi: [_li_coeff(l + 1, k) / (l + 1) for l in range(lo, hi + 1)],
-    "thm3": lambda k, lo, hi: [_li_coeff(l, k) for l in range(lo, hi + 1)],
-}
-_WEIGHTS: dict[tuple[str, int | None], tuple[tuple[int, ...], int]] = {}
+def _weight_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction]:
+    """w_lo..w_hi of the weights of ``family``."""
+    if family == "thm1":
+        from .bernoulli import bernoulli_numbers
+
+        return [b / (l + 1) for l, b in enumerate(bernoulli_numbers(hi)[lo:], lo)]
+    if family == "thm2":
+        return [_li_coeff(l + 1, k) / (l + 1) for l in range(lo, hi + 1)]
+    return [_li_coeff(l, k) for l in range(lo, hi + 1)]
 
 
-def _weights(family: str, k: int | None, n: int) -> tuple[tuple[int, ...], int]:
-    """At least w_0..w_n of a closed sum's weights, as ints over one common
-    denominator: a grow-only prefix per (family, k), replaced whole when it
-    grows, so a reader never sees it half-built."""
-    row = _WEIGHTS.get((family, k), ((), 1))
+# Grow-only prefixes per (family, k), each replaced whole when it grows, so a
+# reader never sees one half-built; each keeps the MAX_CACHED_K latest keys.
+_WEIGHTS: dict[tuple[str, int | None], Row] = {}
+_X_FREE: dict[tuple[str, int | None], Row] = {}
+_STORE_LOCK = threading.Lock()
+
+
+def _prefix(cache: dict, family: str, k: int | None, n: int, terms: Callable) -> Row:
+    """At least n + 1 terms of the prefix of ``cache`` at (family, k), as
+    ints over one common denominator; ``terms(family, k, lo, hi)`` gives the
+    missing ones."""
+    row = cache.get((family, k), ((), 1))
     if len(row[0]) <= n:
-        row = appended(row, _WEIGHT_TERMS[family](k, len(row[0]), n))
-        _WEIGHTS[family, k] = row
+        row = appended(row, terms(family, k, len(row[0]), n))
+        with _STORE_LOCK:
+            cache[family, k] = row
+            while len(cache) > MAX_CACHED_K:
+                del cache[next(iter(cache))]
     return row
 
 
-def _x_free_sums(family: str, n: int, k: int | None) -> tuple[list[int], int]:
-    """v_0..v_n, the closed sum of ``family`` at x = 0 for each m <= n, as
-    ints over one common denominator: the egf convolution
+def _weights(family: str, k: int | None, n: int) -> Row:
+    """At least w_0..w_n of a closed sum's weights, over one common
+    denominator."""
+    return _prefix(_WEIGHTS, family, k, n, _weight_terms)
+
+
+def _x_free_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction]:
+    """v_lo..v_hi of ``family``: the egf convolution
     v_m = sum_l C(m, l) w_l b_(m-l) of the weights with the numbers
-    ``bernoulli2nd_numbers(n)``, that is, the coefficients of W(t) t/log(1+t).
-    The closed sum at any x is then V(t) (1+t)^x, the gf's shape."""
-    w, w_den = _weights(family, k, n)
-    b, b_den = common_denominator(bernoulli2nd_numbers(n))
-    sums = [sum(math.comb(m, l) * w[l] * b[m - l] for l in range(m + 1) if w[l]) for m in range(n + 1)]
-    return sums, w_den * b_den
+    ``bernoulli2nd_numbers(hi)``, that is, the coefficients of W(t) t/log(1+t)."""
+    from .bernoulli import bernoulli2nd_numbers
+
+    w, w_den = _weights(family, k, hi)
+    b, b_den = common_denominator(bernoulli2nd_numbers(hi))
+    return [
+        Fraction(sum(math.comb(m, l) * w[l] * b[m - l] for l in range(m + 1) if w[l]), w_den * b_den)
+        for m in range(lo, hi + 1)
+    ]
 
 
-def _shift_sum(nums: list[int], n: int, a: int, c: int) -> int:
-    """sum_l C(n, l) nums[n-l] c^(n-l) (x)_l c^l at x = a/c: c^n times the egf
-    coefficient n of V(t) (1+t)^x, where V has egf coefficients nums[m] (over
-    any one denominator). (x)_l c^l = prod_{i<l} (a - i c), so it is one int
-    sum."""
-    total, falling = 0, 1  # falling = (x)_l c^l
-    for l in range(n + 1):
-        total += math.comb(n, l) * nums[n - l] * falling * c ** (n - l)
-        falling *= a - l * c
-    return total
+def _x_free_sums(family: str, n: int, k: int | None) -> Row:
+    """At least v_0..v_n, the closed sum of ``family`` at x = 0 for each
+    m <= n, over one common denominator. The closed sum at any x is then
+    V(t) (1+t)^x, the gf's shape."""
+    return _prefix(_X_FREE, family, k, n, _x_free_terms)
 
 
-def _closed_form(family: str, n: int, k: int | None, x: Scalar | Polynomial, row=None) -> Value:
-    """The closed sum of ``family`` at x: its x-free sums v_m = nums[m] / den
-    (``_x_free_sums``, at least n + 1 of them), built here unless the caller
-    passes them as ``row``, moved to x as the gf is, sum_l C(n, l) v_(n-l) (x)_l.
+def _falling_products(a: int, c: int, n: int) -> list[int]:
+    """(x)_l c^l = prod_{i<l} (a - i c) at x = a/c, for l = 0..n: the falling
+    factorials of every closed sum and of thm4's y-shift, which share no code
+    with the gf's x-shift ``series.pow1p_nums``."""
+    out = [1]
+    for l in range(n):
+        out.append(out[-1] * (a - l * c))
+    return out
+
+
+def _scaled(nums: Sequence[int], c: int, n: int) -> list[int]:
+    """nums[m] c^m for m = 0..n."""
+    return [v * c**m for m, v in enumerate(nums[: n + 1])]
+
+
+def _binomial_rows(n: int) -> list[list[int]]:
+    """C(m, 0..m) for m = 0..n."""
+    rows = [[1]]
+    for _ in range(n):
+        rows.append([1, *map(add, rows[-1], rows[-1][1:]), 1])
+    return rows
+
+
+def _shift_sum(binomials: Sequence[int], scaled: Sequence[int], falling: Sequence[int]) -> int:
+    """sum_l C(n, l) scaled[n-l] falling[l] for binomials = C(n, 0..n). With
+    scaled = ``_scaled(nums, c, n)`` and falling = ``_falling_products(a, c,
+    n)``, it is c^n times the egf coefficient n of V(t) (1+t)^x at x = a/c,
+    where V has egf coefficients nums[m] (over any one denominator)."""
+    n = len(binomials) - 1
+    return sum(map(mul, map(mul, binomials, scaled[n::-1]), falling))
+
+
+def _addition_sum(row: Row, n: int, y: Fraction) -> Fraction:
+    """sum_l C(n, l) v_{n-l} (y)_l for a row v_m = nums[m] / den: one int
+    sum over den c^n at y = a/c."""
+    nums, den = row
+    c = y.denominator
+    scaled, falling = _scaled(nums, c, n), _falling_products(y.numerator, c, n)
+    return Fraction(_shift_sum([math.comb(n, l) for l in range(n + 1)], scaled, falling), den * c**n)
+
+
+def _closed_form(family: str, n: int, k: int | None, x: Scalar | Polynomial) -> Value:
+    """The closed sum of ``family`` at x: its x-free sums v_m
+    (``_x_free_sums``) moved to x as the gf is, sum_l C(n, l) v_(n-l) (x)_l.
     A rational x takes one int sum, a symbolic x the basis change to x^j."""
     x = normalize_point(x)
-    nums, den = row or _x_free_sums(family, n, k)
+    row = _x_free_sums(family, n, k)
     if isinstance(x, Polynomial):
-        return binomial_falling_poly((nums, den), n)(x)
-    return Fraction(_shift_sum(nums, n, x.numerator, x.denominator), den * x.denominator**n)
+        from .combinatorics import binomial_falling_poly
+
+        return binomial_falling_poly(row, n)(x)
+    return _addition_sum(row, n, x)
 
 
 def poly_b2nd_theorem1(n: int, x: Scalar | Polynomial = 0) -> Value:
@@ -151,16 +210,6 @@ def theorem3_rhs(n: int, k: int, x: Scalar | Polynomial = 0) -> Value:
     if n < 1:
         raise ValueError("thm3 requires n >= 1")
     return _closed_form("thm3", n, check_k(k), x)
-
-
-def _addition_sum(row: tuple[list[int], int], n: int, y: Fraction) -> Fraction:
-    """sum_l C(n, l) b_{n-l}(x) (y)_l for a row b_m(x) = nums[m] / den.
-
-    With y = a/c, (y)_l c^l = prod_{i<l} (a - i c), so the sum is one int
-    sum over den c^n."""
-    nums, den = row
-    a, c = y.numerator, y.denominator
-    return Fraction(_shift_sum(nums, n, a, c), den * c**n)
 
 
 def theorem4_rhs(n: int, k: int, x: Scalar, y: Scalar) -> Fraction:
@@ -229,8 +278,9 @@ Checker = Callable[[int, "tuple[int, ...] | None", "tuple[Value, ...] | None"], 
 
 class IdentitySpec(NamedTuple):
     """A built-in identity. Its checker yields (values, lhs, rhs) per point,
-    the values named by ``params``; ``ks``/``xs`` are its default k range and
-    x points, and ``None`` means the identity takes no such parameter."""
+    the values named by ``params``, and the point holds when lhs == rhs;
+    ``ks``/``xs`` are its default k range and x points, and ``None`` means
+    the identity takes no such parameter."""
 
     name: str
     checker: Checker
@@ -254,58 +304,117 @@ def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
     return tuple(numeric + symbolic)
 
 
-def _check_thm1(n_max, ks, xs):
-    rows = {x: poly_b2nd_values(n_max, 2, x) for x in xs}
-    sums = _x_free_sums("thm1", n_max, None)
-    for n in range(n_max + 1):
-        for x in xs:
-            lhs = _closed_form("thm1", n, None, x, sums)
-            yield (n, _point_label(x)), lhs, rows[x][n]
+# A checker that decides a point without building its two sides yields these
+# equal placeholders for a point that holds: a report keeps only a failing
+# point's sides.
+_HELD = (None, None)
 
 
-def _check_thm2(n_max, ks, xs):
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in xs}
-    sums = {k: _x_free_sums("thm2", n_max, k) for k in ks}
-    for n in range(n_max + 1):
-        for k in ks:
-            for x in xs:
-                lhs = _closed_form("thm2", n, k, x, sums[k])
-                yield (n, k, _point_label(x)), lhs, rows[k, x][n]
+def _closed_sum_sides(family: str, binomials: list, k: int | None, quotient, x: Value) -> list:
+    """For n = 0..n_max, None where the closed sum of ``family`` at x equals
+    the gf side of its identity, else the identity's two sides as the public
+    functions give them. ``quotient`` is the gf's x-free factor at that k,
+    and ``binomials`` the rows C(n, 0..n).
+
+    At a rational x = a/c both sides are ints over known denominators, so a
+    point is one int comparison: the gf side is the series x-shift
+    ``pow1p_nums`` (at x and x + 1 for thm3), the closed side the falling
+    products of ``_shift_sum``. At a non-constant polynomial x both sides are
+    V(t) (1+t)^x for x-free egf rows V, equal as polynomials in x exactly
+    when the two rows agree at indices 0..n; thm3's gf row is t Q(t), with
+    entries m q_(m-1). Substituting a non-constant polynomial keeps a nonzero
+    polynomial nonzero, so from the first index where the rows differ the
+    sides are built and differ. At a constant polynomial they are built there
+    too and decide the point by value.
+    """
+    n_max = len(binomials) - 1
+    gf, gf_den = quotient._egf
+    nums, den = _x_free_sums(family, n_max, k)
+
+    def pair(closed, gf_side):
+        return (gf_side, closed) if family == "thm3" else (closed, gf_side)
+
+    if not isinstance(x, Polynomial):
+        c = x.denominator
+        scaled, falling = _scaled(nums, c, n_max), _falling_products(x.numerator, c, n_max)
+        closed = [_shift_sum(row, scaled, falling) for row in binomials]
+        shifted = pow1p_nums(quotient, x)
+        if family == "thm3":
+            shifted = [u - v for u, v in zip(pow1p_nums(quotient, x + 1), shifted)]
+        return [
+            None if s * gf_den == g * den else pair(Fraction(s, den * c**n), Fraction(g, gf_den * c**n))
+            for n, (s, g) in enumerate(zip(closed, shifted))
+        ]
+    from .combinatorics import binomial_falling_poly
+
+    def sides(n):
+        poly = binomial_falling_poly((gf, gf_den), n)
+        gf_side = poly(x + 1) - poly(x) if family == "thm3" else poly(x)
+        return pair(binomial_falling_poly((nums, den), n)(x), gf_side)
+
+    row = (0, *(m * q for m, q in enumerate(gf[:n_max], 1))) if family == "thm3" else gf
+    first = next((m for m in range(n_max + 1) if nums[m] * gf_den != row[m] * den), n_max + 1)
+    return [None] * first + [sides(n) for n in range(first, n_max + 1)]
 
 
-def _check_thm3(n_max, ks, xs):
-    points = set(xs) | {x + 1 for x in xs}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
-    sums = {k: _x_free_sums("thm3", n_max, k) for k in ks}
-    for n in range(1, n_max + 1):
-        for k in ks:
-            for x in xs:
-                lhs = rows[k, x + 1][n] - rows[k, x][n]
-                rhs = _closed_form("thm3", n, k, x, sums[k])
-                yield (n, k, _point_label(x)), lhs, rhs
+def _check_closed_sum(family, n_max, ks, xs):
+    # thm1 takes no k: its gf is the one at k = 2, and its points carry no k.
+    ks = (None,) if ks is None else ks
+    binomials = _binomial_rows(n_max)
+    sides = []  # per k, per x
+    for k in ks:
+        quotient = _gf_values(n_max, 2 if k is None else k)
+        sides.append([_closed_sum_sides(family, binomials, k, quotient, x) for x in xs])
+    labels = list(map(_point_label, xs))
+    for n in range(family == "thm3", n_max + 1):
+        for k, at_k in zip(ks, sides):
+            for label, at_x in zip(labels, at_k):
+                values = (n, label) if k is None else (n, k, label)
+                yield values, *(at_x[n] or _HELD)
+
+
+def _thm4_sides(binomials: list, k: int) -> list[list]:
+    """For each n, None or both sides of thm4 at each grid point (i, j),
+    i, j <= n, in order. Both sides are ints over L 15^n, L the gf's egf
+    denominator: the gf at x + y = i/3 + j/5 = (5i + 3j)/15 is the series
+    x-shift ``pow1p_nums`` at that point, which at j = 0 gives the row at x
+    itself; the right side moves that row by y with ``_falling_products``. A
+    wrong x-shift on either side fails the identity. ``binomials`` are the
+    rows C(n, 0..n)."""
+    n_max = len(binomials) - 1
+    quotient = _gf_values(n_max, k)
+    den = quotient._egf[1]
+    at = {}  # 5i + 3j -> b_n((5i + 3j)/15) L 15^n for n = 0..n_max
+    for s in {5 * i + 3 * j for i in range(n_max + 1) for j in range(n_max + 1)}:
+        point = Fraction(s, 15)
+        at[s] = _scaled(pow1p_nums(quotient, point), 15 // point.denominator, n_max)
+    falling = [_falling_products(3 * j, 15, n_max) for j in range(n_max + 1)]  # (j/5)_l 15^l
+    out = [[] for _ in binomials]
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            lhs = at[5 * i + 3 * j]
+            for n in range(max(i, j), n_max + 1):
+                rhs = _shift_sum(binomials[n], at[5 * i], falling[j])
+                if lhs[n] == rhs:
+                    out[n].append(None)
+                else:
+                    out[n].append((Fraction(lhs[n], den * 15**n), Fraction(rhs, den * 15**n)))
+    return out
 
 
 def _check_thm4(n_max, ks, xs):
     # Equality on an (n+1) x (n+1) grid of distinct rational points pins the
     # two-variable polynomial identity (degree <= n in each variable).
-    # x = i/3 and x + y = i/3 + j/5; j = 0 gives the x points themselves.
-    thirds = [Fraction(i, 3) for i in range(n_max + 1)]
-    fifths = [Fraction(j, 5) for j in range(n_max + 1)]
-    points = {x + y for x in thirds for y in fifths}
-    rows = {(k, x): poly_b2nd_values(n_max, k, x) for k in ks for x in points}
-    # Each x row goes over its common denominator once, not once per (n, y),
-    # and each label is made once, not once per point.
-    scaled = {(k, i): common_denominator(rows[k, x]) for k in ks for i, x in enumerate(thirds)}
-    x_labels, y_labels = list(map(str, thirds)), list(map(str, fifths))
+    binomials = _binomial_rows(n_max)
+    sides = {k: _thm4_sides(binomials, k) for k in ks}
+    x_labels = [str(Fraction(i, 3)) for i in range(n_max + 1)]
+    y_labels = [str(Fraction(j, 5)) for j in range(n_max + 1)]
     for n in range(n_max + 1):
         for k in ks:
+            grid = iter(sides[k][n])
             for i in range(n + 1):
-                x = thirds[i]
                 for j in range(n + 1):
-                    y = fifths[j]
-                    lhs = rows[k, x + y][n]
-                    rhs = _addition_sum(scaled[k, i], n, y)
-                    yield (n, k, x_labels[i], y_labels[j]), lhs, rhs
+                    yield (n, k, x_labels[i], y_labels[j]), *(next(grid) or _HELD)
 
 
 def _values_at_0_to_n(row0: Iterable[Fraction]) -> Iterator[tuple[list[Fraction], list[Fraction]]]:
@@ -317,6 +426,8 @@ def _values_at_0_to_n(row0: Iterable[Fraction]) -> Iterator[tuple[list[Fraction]
     degree n, so they agree at these n + 1 points exactly when they are the
     same polynomial.
     """
+    from .bernoulli import bernoulli2nd_poly
+
     rows = [tuple(row0)]
     for _ in range(len(rows[0]) - 1):
         prev = rows[-1]
@@ -346,6 +457,8 @@ def _check_eq2(n_max, ks, xs):
 
 
 def _check_b_equals_higher_order(n_max, ks, xs):
+    from .bernoulli import bernoulli2nd_poly, higher_order_bernoulli_poly
+
     for n in range(n_max + 1):
         lhs = bernoulli2nd_poly(n)
         rhs = higher_order_bernoulli_poly(n, n, X + 1)
@@ -353,6 +466,8 @@ def _check_b_equals_higher_order(n_max, ks, xs):
 
 
 def _check_stirling_inversion(n_max, ks, xs):
+    from .combinatorics import stirling1, stirling2
+
     for n in range(n_max + 1):
         for m in range(n + 1):
             total = Fraction(0)
@@ -364,11 +479,17 @@ def _check_stirling_inversion(n_max, ks, xs):
 IDENTITIES: dict[str, IdentitySpec] = {
     spec.name: spec
     for spec in (
-        IdentitySpec("thm1", _check_thm1, ("n", "x"), xs=_DEFAULT_POINTS),
-        IdentitySpec("thm2", _check_thm2, ("n", "k", "x"), ks=tuple(range(-5, 6)), xs=_DEFAULT_POINTS),
+        IdentitySpec("thm1", partial(_check_closed_sum, "thm1"), ("n", "x"), xs=_DEFAULT_POINTS),
+        IdentitySpec(
+            "thm2",
+            partial(_check_closed_sum, "thm2"),
+            ("n", "k", "x"),
+            ks=tuple(range(-5, 6)),
+            xs=_DEFAULT_POINTS,
+        ),
         IdentitySpec(
             "thm3",
-            _check_thm3,
+            partial(_check_closed_sum, "thm3"),
             ("n", "k", "x"),
             ks=tuple(range(-3, 4)),
             xs=(Fraction(0), Fraction(1, 2), Fraction(-2)),

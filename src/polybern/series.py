@@ -391,21 +391,29 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
     return _over_powers(_falling(x.numerator, x.denominator, order), x.denominator, order)
 
 
-def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
-    """The egf coefficients of series * (1+t)^x at a rational x = a/c. With
-    the series' egf coefficients Q_m / L, b_n = sum_j C(n, j) q_(n-j) (x)_j
-    is the int sum of C(n, j) Q_(n-j) c^(n-j) (x)_j c^j over L c^n, where
+def pow1p_nums(series: TruncatedSeries, x: object) -> list[int]:
+    """The egf coefficients of series * (1+t)^x at a rational x = a/c, as
+    ints: b_n = nums[n] / (L c^n), L the series' egf denominator. With the
+    series' egf coefficients Q_m / L, b_n = sum_j C(n, j) q_(n-j) (x)_j is
+    the int sum of C(n, j) Q_(n-j) c^(n-j) (x)_j c^j over L c^n, where
     (x)_j c^j = prod_{i<j} (a - i c) vanishes past j = x at an integer x >= 0.
     """
     x = exact(x)
     c = x.denominator
-    nums, den = series._egf
+    nums = series._egf[0]
     falling = _falling(x.numerator, c, series.order)
     scaled = [q * c**m for m, q in enumerate(nums)]  # Q_m c^m
-    return tuple(
-        Fraction(_dot(row, falling, scaled[n::-1]), den * c**n)
-        for n, row in zip(range(len(nums)), _pascal_rows(0))
-    )
+    # falling ends at its first zero, so each sum stops there.
+    rows = zip(range(len(nums)), _pascal_rows(0))
+    return [sum(map(mul, map(mul, row, falling), scaled[n::-1])) for n, row in rows]
+
+
+def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
+    """The egf coefficients of series * (1+t)^x at a rational x, reduced:
+    ``pow1p_nums`` over L c^n."""
+    x = exact(x)
+    den, c = series._egf[1], x.denominator
+    return tuple(Fraction(b, den * c**n) for n, b in enumerate(pow1p_nums(series, x)))
 
 
 # -- the polylog ---------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polybern import bernoulli, cli, combinatorics, expr, gf, polybernoulli
+from polybern import bernoulli, cli, combinatorics, expr, gf, polybernoulli, polynomial
 from polybern.cli import main
 from polybern.combinatorics import stirling1, stirling2
 
@@ -246,9 +246,10 @@ def test_verify_forced_failure_exits_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_failing_eq9_point_shows_both_value_lists_as_rationals(capsys, monkeypatch, fmt):
-    original = polybernoulli.bernoulli2nd_poly
+    # The eq9 checker imports bernoulli2nd_poly from bernoulli when it runs.
+    original = bernoulli.bernoulli2nd_poly
     monkeypatch.setattr(
-        polybernoulli, "bernoulli2nd_poly", lambda n: original(n) + F(1, 2) if n == 2 else original(n)
+        bernoulli, "bernoulli2nd_poly", lambda n: original(n) + F(1, 2) if n == 2 else original(n)
     )
     code, out, _ = run_cli(capsys, "verify", "--identity", "eq9", "--n-max", "3", "--format", fmt)
     assert code == 1 and "Fraction(" not in out
@@ -298,6 +299,25 @@ def test_verify_negative_k_range_tokenizes(capsys):
     )
     assert code == 0
     assert "points checked: 18" in out
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3"])
+def test_verify_x_takes_the_symbolic_point_as_reports_print_it(capsys, name):
+    argv = ("verify", "--identity", name, "--n-max", "3", "--x", "1/2, x", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    payload = json.loads(out)
+    report = polybernoulli.verify_identity(name, 3, xs=[F(1, 2), polynomial.X])
+    assert payload["range"]["x"] == "1/2,x"
+    assert payload["checked"] == report.checked and payload["points"] == report.total
+
+
+@pytest.mark.parametrize("point", ["y", "X", "2*x", "x+1", "xx"])
+def test_verify_x_takes_no_other_name(capsys, point):
+    code, out, err = run_cli(capsys, "verify", "--identity", "thm1", "--n-max", "2", "--x", f"1/2,{point}")
+    assert code == 2 and not out
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"polybern: error: not a rational literal: {point!r}"]
 
 
 # -- eval ---------------------------------------------------------------------

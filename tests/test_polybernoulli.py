@@ -408,14 +408,109 @@ def rising_pow1p_row(series_, x):
     return tuple(math.factorial(n) * c for n, c in enumerate(product))
 
 
+def rising_pow1p_nums(series_, x):
+    """``rising_pow1p_row`` over the denominators of ``pow1p_nums``."""
+    x = F(x)
+    den, c = series_._egf[1], x.denominator
+    return [int(v * den * c**n) for n, v in enumerate(rising_pow1p_row(series_, x))]
+
+
+def rising_products(a, c, n):
+    """``_falling_products`` with a + i c in place of a - i c: the rising
+    factorials, a wrong x-shift on polybernoulli's side."""
+    out = [1]
+    for l in range(n):
+        out.append(out[-1] * (a + l * c))
+    return out
+
+
+def wrong_x_free_entry(original, index):
+    """``_x_free_sums`` with v_index one too large."""
+
+    def wrong(family, n, k):
+        nums, den = original(family, n, k)
+        return tuple(v + den if m == index else v for m, v in enumerate(nums)), den
+
+    return wrong
+
+
+def inject(monkeypatch, fault):
+    if fault.startswith("x-free row"):
+        wrong = wrong_x_free_entry(polybernoulli._x_free_sums, int(fault[-1]))
+        monkeypatch.setattr(polybernoulli, "_x_free_sums", wrong)
+    elif fault == "series x-shift":
+        for module in (series, polybernoulli):
+            monkeypatch.setattr(module, "pow1p_nums", rising_pow1p_nums)
+    else:
+        monkeypatch.setattr(polybernoulli, "_falling_products", rising_products)
+
+
 def test_thm4_catches_a_wrong_x_shift(monkeypatch):
-    # thm4 compares the gf's x-shift (pow1p_row) with its own falling
-    # factorials (_addition_sum); the two share no code, so a wrong shift in
-    # one of them fails the identity.
-    monkeypatch.setattr(gf, "pow1p_row", rising_pow1p_row)
+    # thm4 compares the gf's x-shift at x + y (pow1p_nums) with its own
+    # falling factorials applied to the gf at x; the two share no code, so a
+    # wrong shift in the series fails the identity.
+    inject(monkeypatch, "series x-shift")
     report = verify_identity("thm4", 6)
     assert report.total == 840
     assert len(report.failures) > 600
+
+
+def test_thm4_catches_a_wrong_shift_on_its_own_side(monkeypatch):
+    inject(monkeypatch, "falling products")
+    report = verify_identity("thm4", 6)
+    assert report.total == 840
+    assert len(report.failures) > 600
+
+
+# Two constant polynomials: at 1, (x)_j vanishes for j >= 2, so a wrong
+# x-free entry moves only some of its values although the rows differ.
+FAULT_POINTS = (
+    F(-1), F(0), F(1, 2), F(7, 3), X, 2 * X + F(1, 3),
+    polynomial.Polynomial.constant(F(-2, 3)), polynomial.Polynomial.constant(F(1)),
+)
+
+
+def public_sides(name, n, k, x, y):
+    """Both sides of an identity at one point, from the public functions."""
+    if name == "thm1":
+        return poly_b2nd_theorem1(n, x), poly_b2nd_values(n, 2, x)[n]
+    if name == "thm2":
+        return poly_b2nd_theorem2(n, k, x), poly_b2nd_values(n, k, x)[n]
+    if name == "thm3":
+        return poly_b2nd_values(n, k, x + 1)[n] - poly_b2nd_values(n, k, x)[n], theorem3_rhs(n, k, x)
+    return poly_b2nd_values(n, k, x + y)[n], theorem4_rhs(n, k, x, y)
+
+
+@pytest.mark.parametrize("fault", ["x-free row at 3", "x-free row at 6", "series x-shift", "falling products"])
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3", "thm4"])
+def test_each_point_holds_exactly_when_the_public_values_agree(monkeypatch, fault, name):
+    # verify decides a point by one int comparison, or at a polynomial point
+    # by comparing x-free rows, and builds both sides only where these
+    # differ. Under a fault on either side, each point must still hold
+    # exactly when the public values agree, and a failure must show them as
+    # text. The last x-free entry, v_6 at n_max = 6, is read at n = 6 only.
+    inject(monkeypatch, fault)
+    n_max, ks = (4, [-1, 2]) if name == "thm4" else (6, [-2, 0, 3])
+    ks = None if name == "thm1" else ks
+    report = verify_identity(name, n_max, ks=ks, xs=None if name == "thm4" else FAULT_POINTS)
+    points, failures = [], []
+    for n in range(name == "thm3", n_max + 1):
+        for k in ks or [2]:
+            if name == "thm4":
+                grid = [(F(i, 3), F(j, 5)) for i in range(n + 1) for j in range(n + 1)]
+            else:
+                grid = [(x, None) for x in FAULT_POINTS]
+            for x, y in grid:
+                lhs, rhs = public_sides(name, n, k, x, y)
+                labels = (str(x), str(y)) if name == "thm4" else (polybernoulli._point_label(x),)
+                values = (n, *labels) if name == "thm1" else (n, k, *labels)
+                points.append((*values, lhs == rhs))
+                if lhs != rhs:
+                    params = dict(zip(IDENTITIES[name].params, values))
+                    failures.append({"params": params, "lhs": str(lhs), "rhs": str(rhs)})
+    assert report.points == points
+    assert report.failures == failures
+    assert failures or (name == "thm4" and fault.startswith("x-free row"))
 
 
 def test_closed_sums_at_a_rational_point_use_no_gf_x_shift(monkeypatch):
@@ -434,6 +529,8 @@ def test_closed_sums_at_a_rational_point_use_no_gf_x_shift(monkeypatch):
 
     for module in (series, bernoulli, gf):
         monkeypatch.setattr(module, "pow1p_row", forbidden)
+    for module in (series, polybernoulli):
+        monkeypatch.setattr(module, "pow1p_nums", forbidden)
     monkeypatch.setattr(bernoulli, "bernoulli2nd_values", forbidden)
     for n, k, x in cases:
         got = (poly_b2nd_theorem1(n, x), poly_b2nd_theorem2(n, k, x), theorem3_rhs(n, k, x))
@@ -457,6 +554,8 @@ def test_closed_sums_read_neither_value_rows_nor_the_gf_x_shift(monkeypatch):
 
     for module in (series, bernoulli, gf):
         monkeypatch.setattr(module, "pow1p_row", forbidden, raising=False)
+    for module in (series, polybernoulli):
+        monkeypatch.setattr(module, "pow1p_nums", forbidden)
     for module in (bernoulli, polybernoulli):
         monkeypatch.setattr(module, "bernoulli2nd_poly", forbidden, raising=False)
     for module in (polynomial, polybernoulli):
@@ -468,6 +567,53 @@ def test_closed_sums_read_neither_value_rows_nor_the_gf_x_shift(monkeypatch):
             theorem3_rhs(n, k, x) if n else None,
         )
         assert got == expected[n, k, x], (n, k, x)
+
+
+def test_a_library_loop_over_n_builds_each_x_free_sum_once(monkeypatch):
+    x = F(1, 3)
+    expected = [poly_b2nd_values(n, 3, x)[n] for n in range(41)]
+    built = []
+    original = polybernoulli._x_free_terms
+
+    def once(family, k, lo, hi):
+        if any(lo <= m <= hi for f, k_, m in built if (f, k_) == (family, k)):
+            raise AssertionError(f"x-free sums of {family} at k = {k} built again")
+        built.extend((family, k, m) for m in range(lo, hi + 1))
+        return original(family, k, lo, hi)
+
+    monkeypatch.setattr(polybernoulli, "_X_FREE", {})
+    monkeypatch.setattr(polybernoulli, "_x_free_terms", once)
+    assert [poly_b2nd_theorem2(n, 3, x) for n in range(41)] == expected
+    assert [poly_b2nd_theorem2(n, 3, x) for n in range(41)] == expected
+    assert poly_b2nd_theorem2(40, 3, X)(x) == expected[40]
+    for n in range(1, 41):
+        theorem3_rhs(n, 3, x)
+    assert sorted(built) == [(family, 3, m) for family in ("thm2", "thm3") for m in range(41)]
+
+
+def test_the_caches_keep_the_latest_k_only(monkeypatch):
+    bound = polybernoulli.MAX_CACHED_K
+    names = ("thm2", "thm3", "thm4")
+    assert bound >= sum(len(IDENTITIES[name].ks) for name in names)
+    monkeypatch.setattr(polybernoulli, "_WEIGHTS", {})
+    monkeypatch.setattr(polybernoulli, "_X_FREE", {})
+    gf._gf_values.cache_clear()
+    try:
+        for k in range(-50, 50):
+            assert poly_b2nd_theorem2(3, k, F(1, 2)) == poly_b2nd_values(3, k, F(1, 2))[3]
+        latest = set(range(50 - bound, 50))
+        for cache in (polybernoulli._WEIGHTS, polybernoulli._X_FREE):
+            assert set(cache) == {("thm2", k) for k in latest}
+        assert gf._gf_values.cache_info().currsize == bound
+        # verify's default k of thm2, thm3 and thm4 fit at once, also at
+        # three different n_max.
+        gf._gf_values.cache_clear()
+        for _ in range(2):
+            for n_max, name in enumerate(names, 3):
+                assert verify_identity(name, n_max).passed
+        assert gf._gf_values.cache_info().misses == sum(len(IDENTITIES[name].ks) for name in names)
+    finally:
+        gf._gf_values.cache_clear()
 
 
 def test_weights_are_a_grow_only_prefix():
@@ -540,10 +686,16 @@ def test_symbolic_row_evaluates_to_the_rational_row(n, k, r):
     assert tuple(p(r) for p in symbolic) == poly_b2nd_values(n, k, r)
 
 
-def test_thm3_at_the_symbolic_point():
-    # x + 1 = X + 1 reaches the symbolic row through Polynomial substitution.
-    report = verify_identity("thm3", 6, xs=[X, 0])
-    assert report.passed and report.total == 6 * 7 * 2
+def test_thm3_at_the_symbolic_point(monkeypatch):
+    # At a non-constant point the gf side b_n(x+1) - b_n(x) has the x-free
+    # row t Q(t), compared with the closed sum's; a point that holds builds no
+    # polynomial.
+    def forbidden(*args):
+        raise AssertionError("built a polynomial")
+
+    monkeypatch.setattr(combinatorics, "binomial_falling_poly", forbidden)
+    report = verify_identity("thm3", 6, xs=[X, 2 * X + F(1, 3), 0])
+    assert report.passed and report.total == 6 * 7 * 3
 
 
 @pytest.mark.parametrize("name", ["eq9", "eq2", "b-equals-higher-order"])
