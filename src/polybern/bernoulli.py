@@ -18,44 +18,59 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .combinatorics import binomial, binomial_falling_poly, extend, stirling1_row
-from .polynomial import Polynomial, X, common_denominator, normalize_point
-from .series import TruncatedSeries, pow1p_row, reciprocal_step
+from .combinatorics import binomial, binomial_falling_poly, stirling1_row
+from .polynomial import MAX_CACHED_K, Polynomial, X, appended, common_denominator, grown, normalize_point
+from .series import TruncatedSeries, _pascal_rows, _quotient_term, pow1p_row
 
 Scalar = Union[int, Fraction]
 
 
-# Grow-only prefixes of t/(e^t - 1), the reciprocal of (e^t - 1)/t whose egf
-# coefficients are 1/(m+1), and of t/log(1+t).
-_BERNOULLI = [Fraction(1)]
-_next_bernoulli = reciprocal_step(lambda m: Fraction(1, m + 1))
-_B2ND = [Fraction(1)]
+# The grow-only prefixes (``polynomial.grown``) of the egf coefficients of
+# t/(e^t - 1) and of t/log(1+t), under the key None.
+_BERNOULLI: dict[None, tuple[Fraction, ...]] = {}
+_B2ND: dict[None, tuple[Fraction, ...]] = {}
 
 
-def _next_b2nd(seq: list) -> Fraction:
-    """b_n = sum_l S1(n, l) / (l+1), from t/log(1+t) = integral_0^1 (1+t)^x dx
-    and (1+t)^x = sum_n (x)_n t^n / n!: one int sum over lcm(1..n+1). The
-    caller grows the S1 rows first, so ``stirling1_row`` takes no lock here."""
-    n = len(seq)
-    den = math.lcm(*range(1, n + 2))
-    return Fraction(sum(s * (den // l) for l, s in enumerate(stirling1_row(n), 1)), den)
+def _more_bernoulli(prefix: tuple, n: int) -> Iterator[Fraction]:
+    """B_m for m = len(prefix)..n: the egf coefficients of 1/D(t) for
+    D = (e^t - 1)/t, whose egf coefficients are 1/(m+1), by ``div_unit``'s
+    forward substitution (``_quotient_term``) continued from the prefix. D
+    starts over lcm(1..len(prefix)) and grows term by term, over lcm(1..m+1)
+    at term m."""
+    start = len(prefix)
+    q = appended(((), 1), prefix)
+    root = math.lcm(*range(1, start + 1))
+    d = (tuple(root // j for j in range(1, start + 1)), root)
+    for m, row in zip(range(start, n + 1), _pascal_rows(start)):
+        d = appended(d, [Fraction(1, m + 1)])
+        term = _quotient_term(int(m == 0), 1, q, *d, row)
+        q = appended(q, [term])
+        yield term
+
+
+def _more_b2nd(prefix: tuple, n: int) -> Iterator[Fraction]:
+    """b_m for m = len(prefix)..n: b_m = sum_l S1(m, l) / (l+1), from
+    t/log(1+t) = integral_0^1 (1+t)^x dx and (1+t)^x = sum_m (x)_m t^m / m!,
+    one int sum over lcm(1..m+1) on the cached S1 row m."""
+    for m in range(len(prefix), n + 1):
+        den = math.lcm(*range(1, m + 2))
+        yield Fraction(sum(s * (den // l) for l, s in enumerate(stirling1_row(m), 1)), den)
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """B_0..B_{n_max}: the egf coefficients of t/(e^t - 1)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return extend(_BERNOULLI, n_max, _next_bernoulli)[: n_max + 1]
+    return list(grown(_BERNOULLI, None, n_max, _more_bernoulli)[: n_max + 1])
 
 
 def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
     """b_0..b_{n_max} of the second kind: the egf coefficients of t/log(1+t)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    stirling1_row(n_max)  # before extend, whose lock is not reentrant
-    return extend(_B2ND, n_max, _next_b2nd)[: n_max + 1]
+    return list(grown(_B2ND, None, n_max, _more_b2nd)[: n_max + 1])
 
 
 def gregory_coefficients(n_max: int) -> list[Fraction]:
@@ -72,9 +87,10 @@ def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
     return pow1p_row(b, x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CACHED_K)
 def bernoulli2nd_poly(n: int) -> Polynomial:
-    """b_n(x) = sum_l C(n, l) b_l (x)_{n-l}, assembled in the monomial basis."""
+    """b_n(x) = sum_l C(n, l) b_l (x)_{n-l}, assembled in the monomial basis,
+    kept for the ``MAX_CACHED_K`` latest n."""
     if n < 0:
         raise ValueError("index must be >= 0")
     return binomial_falling_poly(common_denominator(bernoulli2nd_numbers(n)), n)

@@ -4,20 +4,19 @@ Stirling numbers of the second kind S2(n, l) expand monomials in the
 falling-factorial basis (x^n = sum_l S2(n, l) (x)_l); signed Stirling
 numbers of the first kind S1(n, l) go the other way ((x)_n =
 sum_l S1(n, l) x^l). Only the signed first-kind convention is exposed.
-Rows are memoized as int tuples (see ``extend``); ``stirling1``/``stirling2``
-return ``Fraction`` (denominator 1) so they flow straight into series
-arithmetic, and ``stirling1_row``/``stirling2_row`` hand out a cached row of
-ints.
+Rows are memoized as int tuples (``polynomial.grown``);
+``stirling1``/``stirling2`` return ``Fraction`` (denominator 1) so they flow
+straight into series arithmetic, and ``stirling1_row``/``stirling2_row``
+hand out a cached row of ints.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from .polynomial import Polynomial, X, common_denominator, exact, normalize_point
+from .polynomial import Polynomial, X, common_denominator, exact, grown, normalize_point
 
 Scalar = Union[int, Fraction]
 
@@ -59,72 +58,55 @@ def falling_factorial_poly(n: int) -> Polynomial:
     return Polynomial.constant(result)
 
 
-# One lock for every grow-only sequence; no step function takes it again.
-_grow_lock = threading.Lock()
+def _more_stirling2_rows(rows: tuple, n: int) -> Iterator[tuple[int, ...]]:
+    """S2 rows len(rows)..n: S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
+    prev = rows[-1] if rows else ()
+    for m in range(len(rows), n + 1):
+        pairs = zip((0,) + prev, prev + (0,))
+        prev = tuple(left + l * above for l, (left, above) in enumerate(pairs)) if m else (1,)
+        yield prev
 
 
-def extend(seq: list, n: int, step: Callable[[list], object]) -> list:
-    """Grow the cached prefix ``seq`` until index ``n`` exists; returns it.
-
-    Each new term is ``step(seq)``, appended under one lock, so a sequence
-    grows one term at a time and is never recomputed. Terms never change once
-    appended, so readers index the list without the lock.
-    """
-    if len(seq) <= n:
-        with _grow_lock:
-            while len(seq) <= n:
-                seq.append(step(seq))
-    return seq
+def _more_stirling1_rows(rows: tuple, n: int) -> Iterator[tuple[int, ...]]:
+    """S1 rows len(rows)..n: S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
+    prev = rows[-1] if rows else ()
+    for m in range(len(rows), n + 1):
+        pairs = zip((0,) + prev, prev + (0,))
+        prev = tuple(left - (m - 1) * above for left, above in pairs) if m else (1,)
+        yield prev
 
 
-def _next_stirling2_row(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
-    prev = rows[-1]
-    pairs = zip((0,) + prev, prev + (0,))
-    return tuple(left + l * above for l, (left, above) in enumerate(pairs))
+# The rows 0..n of each triangle, under the key None (``grown``).
+_STIRLING2_ROWS: dict[None, tuple[tuple[int, ...], ...]] = {}
+_STIRLING1_ROWS: dict[None, tuple[tuple[int, ...], ...]] = {}
 
 
-def _next_stirling1_row(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
-    prev = rows[-1]
-    m1 = len(rows) - 1
-    pairs = zip((0,) + prev, prev + (0,))
-    return tuple(left - m1 * above for left, above in pairs)
-
-
-_STIRLING2_ROWS: list[tuple[int, ...]] = [(1,)]
-_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
-
-
-def _row(rows, step, n: int) -> tuple[int, ...]:
+def _rows(cache: dict, more: Callable, n: int) -> tuple[tuple[int, ...], ...]:
     if n < 0:
         raise ValueError("Stirling numbers require n >= 0")
-    return extend(rows, n, step)[n]
-
-
-def _stirling(rows, step, n: int, l: int) -> Fraction:
-    row = _row(rows, step, n)
-    return Fraction(row[l]) if 0 <= l <= n else Fraction(0)
+    return grown(cache, None, n, more)
 
 
 def stirling2(n: int, l: int) -> Fraction:
     """Stirling number of the second kind S2(n, l)."""
-    return _stirling(_STIRLING2_ROWS, _next_stirling2_row, n, l)
+    row = stirling2_row(n)
+    return Fraction(row[l]) if 0 <= l <= n else Fraction(0)
 
 
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind S1(n, l)."""
-    return _stirling(_STIRLING1_ROWS, _next_stirling1_row, n, l)
+    row = stirling1_row(n)
+    return Fraction(row[l]) if 0 <= l <= n else Fraction(0)
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:
     """S2(n, 0..n) as ints, the cached row itself."""
-    return _row(_STIRLING2_ROWS, _next_stirling2_row, n)
+    return _rows(_STIRLING2_ROWS, _more_stirling2_rows, n)[n]
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
     """S1(n, 0..n) as ints, the cached row itself."""
-    return _row(_STIRLING1_ROWS, _next_stirling1_row, n)
+    return _rows(_STIRLING1_ROWS, _more_stirling1_rows, n)[n]
 
 
 def to_falling_basis(p: Polynomial) -> list[Fraction]:
@@ -142,7 +124,7 @@ def to_falling_basis(p: Polynomial) -> list[Fraction]:
 def _from_falling(nums: Sequence[int], den: int) -> Polynomial:
     """sum_l (nums[l] / den) (x)_l in the monomial basis: each coefficient
     sum_l nums[l] S1(l, i) is summed in ints and reduced once."""
-    rows = extend(_STIRLING1_ROWS, len(nums) - 1, _next_stirling1_row)
+    rows = grown(_STIRLING1_ROWS, None, len(nums) - 1, _more_stirling1_rows)
     out = [0] * len(nums)
     for l, c in enumerate(nums):
         if c:

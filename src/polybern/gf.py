@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .caps import check_k
-from .polynomial import Polynomial, normalize_point
+from .polynomial import MAX_CACHED_K, Polynomial, normalize_point
 from .series import Row, TruncatedSeries, log1p_series, pow1p_row
 
 
@@ -48,13 +48,6 @@ def _s2_sum(order: int, k: int) -> Row:
         out.append(w[0])
         w = [(m + 1) * b - m * a for m, (a, b) in enumerate(zip(w, w[1:]))]
     return out, den
-
-
-#: The most entries each cache of the gf and of the closed sums keeps
-#: (``_gf_values`` here, the weights and x-free sums of ``polybernoulli``):
-#: one per k of verify's default thm2, thm3 and thm4 ranges together (24),
-#: so that checking them in turn in one process builds nothing twice.
-MAX_CACHED_K = 32
 
 
 @lru_cache(maxsize=MAX_CACHED_K)

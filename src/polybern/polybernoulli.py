@@ -24,21 +24,14 @@ and returns a report.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import partial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .gf import MAX_CACHED_K, _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
-from .polynomial import (
-    Polynomial,
-    X,
-    appended,
-    common_denominator,
-    normalize_point,
-)
+from .gf import _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
+from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, grown, normalize_point  # noqa: F401 (re-exported)
 from .series import Row, log1p_series, polylog_series, pow1p_nums, t_series  # noqa: F401 (re-exported)
 
 # ``bernoulli`` and ``combinatorics`` are imported by the functions that use
@@ -84,31 +77,22 @@ def _weight_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction
     return [_li_coeff(l, k) for l in range(lo, hi + 1)]
 
 
-# Grow-only prefixes per (family, k), each replaced whole when it grows, so a
-# reader never sees one half-built; each keeps the MAX_CACHED_K latest keys.
-_WEIGHTS: dict[tuple[str, int | None], Row] = {}
-_X_FREE: dict[tuple[str, int | None], Row] = {}
-_STORE_LOCK = threading.Lock()
+# Grow-only prefixes (``polynomial.grown``) per (family, k).
+_WEIGHTS: dict[tuple[str, int | None], tuple[Fraction, ...]] = {}
+_X_FREE: dict[tuple[str, int | None], tuple[Fraction, ...]] = {}
 
 
-def _prefix(cache: dict, family: str, k: int | None, n: int, terms: Callable) -> Row:
-    """At least n + 1 terms of the prefix of ``cache`` at (family, k), as
-    ints over one common denominator; ``terms(family, k, lo, hi)`` gives the
+def _prefix_row(cache: dict, family: str, k: int | None, n: int, terms: Callable) -> Row:
+    """Terms 0..n of the prefix of ``cache`` at (family, k), as ints over
+    their least common denominator; ``terms(family, k, lo, hi)`` gives the
     missing ones."""
-    row = cache.get((family, k), ((), 1))
-    if len(row[0]) <= n:
-        row = appended(row, terms(family, k, len(row[0]), n))
-        with _STORE_LOCK:
-            cache[family, k] = row
-            while len(cache) > MAX_CACHED_K:
-                del cache[next(iter(cache))]
-    return row
+    prefix = grown(cache, (family, k), n, lambda have, hi: terms(family, k, len(have), hi))
+    return common_denominator(prefix[: n + 1])
 
 
 def _weights(family: str, k: int | None, n: int) -> Row:
-    """At least w_0..w_n of a closed sum's weights, over one common
-    denominator."""
-    return _prefix(_WEIGHTS, family, k, n, _weight_terms)
+    """w_0..w_n of a closed sum's weights, over one common denominator."""
+    return _prefix_row(_WEIGHTS, family, k, n, _weight_terms)
 
 
 def _x_free_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction]:
@@ -126,10 +110,10 @@ def _x_free_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction
 
 
 def _x_free_sums(family: str, n: int, k: int | None) -> Row:
-    """At least v_0..v_n, the closed sum of ``family`` at x = 0 for each
-    m <= n, over one common denominator. The closed sum at any x is then
-    V(t) (1+t)^x, the gf's shape."""
-    return _prefix(_X_FREE, family, k, n, _x_free_terms)
+    """v_0..v_n, the closed sum of ``family`` at x = 0 for each m <= n, over
+    one common denominator. The closed sum at any x is then V(t) (1+t)^x, the
+    gf's shape."""
+    return _prefix_row(_X_FREE, family, k, n, _x_free_terms)
 
 
 def _falling_products(a: int, c: int, n: int) -> list[int]:
@@ -310,11 +294,12 @@ def _sorted_points(xs: Iterable[Value]) -> tuple[Value, ...]:
 _HELD = (None, None)
 
 
-def _closed_sum_sides(family: str, binomials: list, k: int | None, quotient, x: Value) -> list:
+def _closed_sum_sides(family: str, binomials: list, row: Row, quotient, x: Value) -> list:
     """For n = 0..n_max, None where the closed sum of ``family`` at x equals
     the gf side of its identity, else the identity's two sides as the public
-    functions give them. ``quotient`` is the gf's x-free factor at that k,
-    and ``binomials`` the rows C(n, 0..n).
+    functions give them. ``row`` holds the closed sum's x-free sums
+    (``_x_free_sums``) and ``quotient`` the gf's x-free factor, both at one
+    k, and ``binomials`` the rows C(n, 0..n).
 
     At a rational x = a/c both sides are ints over known denominators, so a
     point is one int comparison: the gf side is the series x-shift
@@ -329,7 +314,7 @@ def _closed_sum_sides(family: str, binomials: list, k: int | None, quotient, x: 
     """
     n_max = len(binomials) - 1
     gf, gf_den = quotient._egf
-    nums, den = _x_free_sums(family, n_max, k)
+    nums, den = row
 
     def pair(closed, gf_side):
         return (gf_side, closed) if family == "thm3" else (closed, gf_side)
@@ -364,7 +349,8 @@ def _check_closed_sum(family, n_max, ks, xs):
     sides = []  # per k, per x
     for k in ks:
         quotient = _gf_values(n_max, 2 if k is None else k)
-        sides.append([_closed_sum_sides(family, binomials, k, quotient, x) for x in xs])
+        row = _x_free_sums(family, n_max, k)
+        sides.append([_closed_sum_sides(family, binomials, row, quotient, x) for x in xs])
     labels = list(map(_point_label, xs))
     for n in range(family == "thm3", n_max + 1):
         for k, at_k in zip(ks, sides):
@@ -532,7 +518,9 @@ def verify_identity(
     ``ks``/``xs`` restrict the default parameter sets where the identity
     accepts them; passing them for an identity that has no such parameter is
     an error. A repeated k or x is checked once. Points are reported in
-    lexicographic (n, k, x, y) order.
+    lexicographic (n, k, x, y) order. A range that holds no point (an empty
+    ``ks`` or ``xs``, or thm3, whose domain starts at n = 1, at n_max = 0)
+    raises ``ValueError`` rather than passing on nothing.
     """
     spec = IDENTITIES.get(name)
     if spec is None:
@@ -551,4 +539,7 @@ def verify_identity(
     report = VerificationReport(name, _describe_range(spec, n_max), spec.params)
     for values, lhs, rhs in spec.checker(n_max, spec.ks, spec.xs):
         report.add(values, lhs, rhs)
+    if not report.total:
+        text = "; ".join(f"{k}={v}" for k, v in report.range_spec.items())
+        raise ValueError(f"identity {name!r} has no point in the range {text}")
     return report

@@ -8,14 +8,19 @@ so a sum of products runs in ``int``s and reduces once per result rather
 than once per term. Evaluation at a rational point uses it (a homogeneous
 Horner rule), and so do the closed sums in ``polybernoulli`` and the basis
 change in ``combinatorics``.
+
+``grown`` is how every growing cache of polybern grows: the Stirling rows,
+the Bernoulli numbers of both kinds and the closed sums' weights and x-free
+sums are grow-only prefixes that it extends, under one lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -245,6 +250,39 @@ def appended(
     if new != den:
         nums = tuple(c * (new // den) for c in nums)
     return nums + tuple(v.numerator * (new // v.denominator) for v in values), new
+
+
+#: The most keys each keyed cache keeps, the latest ones: the gf's
+#: ``_gf_values``, ``bernoulli2nd_poly`` and each cache of ``grown``. One per k
+#: of verify's default thm2, thm3 and thm4 ranges together (24), so that
+#: checking them in turn in one process builds nothing twice.
+MAX_CACHED_K = 32
+
+_lock = threading.Lock()
+
+
+def grown(cache: dict, key: Hashable, n: int, more: Callable[[tuple, int], Iterable]) -> tuple:
+    """The grow-only prefix ``cache[key]``, a tuple of at least n + 1 terms.
+
+    ``more(prefix, n)`` gives the terms after the stored prefix up to index n.
+    It runs outside the lock, so it may grow any cache, this one included.
+    The longer prefix is then stored whole under the one lock, unless a longer
+    one was stored meanwhile, and the cache keeps its ``MAX_CACHED_K`` latest
+    keys. A stored prefix never changes, so readers take no lock, and an
+    interrupted ``more`` stores nothing, so no cache holds a half-built prefix.
+    """
+    prefix = cache.get(key, ())
+    if len(prefix) > n:
+        return prefix
+    prefix += tuple(more(prefix, n))
+    with _lock:
+        stored = cache.get(key, ())
+        if len(stored) >= len(prefix):
+            return stored
+        cache[key] = prefix
+        while len(cache) > MAX_CACHED_K:
+            del cache[next(iter(cache))]
+    return prefix
 
 
 def homogeneous_horner(nums: Sequence[int], a: int, b: int) -> int:

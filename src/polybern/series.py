@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add, mul
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .caps import check_k
 from .polynomial import appended, common_denominator, exact
@@ -308,29 +308,6 @@ class TruncatedSeries:
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
         return next((i for i, c in enumerate(self._egf[0]) if c), None)
-
-
-def reciprocal_step(d: Callable[[int], Fraction]) -> Callable[[list], Fraction]:
-    """The ``combinatorics.extend`` step of the egf coefficients q of 1/D(t),
-    D_0 = 1 and D_m = d(m): ``div_unit``'s forward substitution, one term per
-    call. q, D (ints over one common denominator each) and the binomial row
-    are replaced whole, so an interrupted step leaves them consistent; a term
-    computed but never appended is handed out again."""
-    state: tuple[Row, Row, list[int]] = (((1,), 1), ((1,), 1), [1])
-
-    def step(seq: list) -> Fraction:
-        nonlocal state
-        n = len(seq)
-        q, ds, row = state
-        if len(q[0]) > n:
-            return Fraction(q[0][n], q[1])
-        ds = appended(ds, [d(n)])
-        row = [1, *map(add, row, row[1:]), 1]  # C(n, 0..n)
-        term = _quotient_term(0, 1, q, ds[0], ds[1], row)
-        state = (appended(q, [term]), ds, row)
-        return term
-
-    return step
 
 
 # -- stock series -------------------------------------------------------

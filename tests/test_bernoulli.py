@@ -5,9 +5,11 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_mul
-from polybern import bernoulli, combinatorics, series
+from polybern import bernoulli, combinatorics, polynomial
 from polybern.bernoulli import (
     bernoulli2nd_numbers,
     bernoulli2nd_poly,
@@ -18,7 +20,7 @@ from polybern.bernoulli import (
     higher_order_bernoulli_poly,
 )
 from polybern.polybernoulli import verify_identity
-from polybern.polynomial import Polynomial, X
+from polybern.polynomial import MAX_CACHED_K, Polynomial, X
 from polybern.combinatorics import falling_factorial, falling_factorial_at
 from polybern.series import (
     TruncatedSeries,
@@ -88,18 +90,59 @@ def test_growing_cache_preserves_prefix():
     assert bernoulli2nd_numbers(30)[:6] == bernoulli2nd_numbers(5)
 
 
-def fresh_bernoulli_module():
-    """A new copy of polybern.bernoulli whose caches start empty."""
-    spec = importlib.util.spec_from_file_location("polybern._fresh_bernoulli", bernoulli.__file__)
+def fresh_module(module):
+    """A new copy of a polybern module whose caches start empty."""
+    name = module.__name__.replace("polybern.", "polybern._fresh_")
+    spec = importlib.util.spec_from_file_location(name, module.__file__)
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
     return fresh
 
 
+def fresh_sequences():
+    """Fresh copies of ``bernoulli`` and ``combinatorics``, the b_n of the
+    one reading the S1 rows of the other, and their readers and caches by
+    name."""
+    bern, comb = fresh_module(bernoulli), fresh_module(combinatorics)
+    bern.stirling1_row = comb.stirling1_row
+    readers = {
+        "B": bern.bernoulli_numbers,
+        "b": bern.bernoulli2nd_numbers,
+        "S1": comb.stirling1_row,
+        "S2": comb.stirling2_row,
+    }
+    caches = {"B": bern._BERNOULLI, "b": bern._B2ND, "S1": comb._STIRLING1_ROWS, "S2": comb._STIRLING2_ROWS}
+    return readers, caches
+
+
+def _one_build_each(n):
+    readers, caches = fresh_sequences()
+    for read in readers.values():
+        read(n)
+    return {name: cache[None] for name, cache in caches.items()}
+
+
+FRESH = _one_build_each(40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["B", "b", "S1", "S2"]), st.integers(0, 40)), min_size=1, max_size=12))
+def test_interleaved_calls_match_one_fresh_build(calls):
+    # Each call returns what one build at n = 40 holds, and each cache, the
+    # S1 rows grown by b_n included, holds a prefix of that build.
+    readers, caches = fresh_sequences()
+    for name, n in calls:
+        got = readers[name](n)
+        assert got == (FRESH[name][n] if name.startswith("S") else list(FRESH[name][: n + 1])), (name, n)
+        for kind, cache in caches.items():
+            held = cache.get(None, ())
+            assert held == FRESH[kind][: len(held)], kind
+
+
 def test_walking_n_extends_the_cached_prefixes(monkeypatch):
     # Walking n upward from empty caches must take no series quotient (a
     # refill would), and every step must be a prefix of one call at 40.
-    fresh = fresh_bernoulli_module()
+    fresh = fresh_module(bernoulli)
 
     def refuse(*args):
         raise AssertionError("div_unit called")
@@ -115,7 +158,7 @@ def test_walking_n_extends_the_cached_prefixes(monkeypatch):
 
 
 def test_concurrent_growth_appends_each_term_once():
-    fresh = fresh_bernoulli_module()
+    fresh = fresh_module(bernoulli)
     results = {}
 
     def walk(i):
@@ -134,6 +177,8 @@ def test_concurrent_growth_appends_each_term_once():
         sys.setswitchinterval(old)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 8
+    # A shorter prefix stored over a longer one would lose terms.
+    assert len(fresh._BERNOULLI[None]) == len(fresh._B2ND[None]) == 60
     for numbers, gregory in results.values():
         n = len(numbers) - 1
         assert numbers == bernoulli_numbers(n)
@@ -141,42 +186,56 @@ def test_concurrent_growth_appends_each_term_once():
 
 
 def test_second_kind_numbers_grow_from_empty_stirling_rows(monkeypatch):
-    # Each b_n reads S1 row n, which bernoulli2nd_numbers grows before it
-    # takes extend's lock: growing it inside would take the lock again. The
-    # lock is a fresh one, so a hung thread holds no lock other tests take.
-    fresh = fresh_bernoulli_module()
-    monkeypatch.setattr(combinatorics, "_STIRLING1_ROWS", [(1,)])
-    monkeypatch.setattr(combinatorics, "_grow_lock", threading.Lock())
+    # Each b_n reads S1 row n, which the builder of b_n grows itself, outside
+    # the one lock of the caches. The lock is a fresh one, so a hung thread
+    # holds no lock other tests take.
+    fresh = fresh_module(bernoulli)
+    monkeypatch.setattr(combinatorics, "_STIRLING1_ROWS", {})
+    monkeypatch.setattr(polynomial, "_lock", threading.Lock())
     results = []
     thread = threading.Thread(target=lambda: results.append(fresh.bernoulli2nd_numbers(30)), daemon=True)
     thread.start()
     thread.join(timeout=10)
     assert not thread.is_alive(), "bernoulli2nd_numbers hung"
     assert results == [bernoulli2nd_numbers(30)]
-    assert len(combinatorics._STIRLING1_ROWS) == 31
+    rows = combinatorics._STIRLING1_ROWS[None]
+    assert len(rows) == 31
+    assert [sum(map(abs, row)) for row in rows] == [math.factorial(n) for n in range(31)]
 
 
-def test_an_interrupted_step_leaves_the_recurrence_intact():
-    # The egf step of t/(e^t - 1), interrupted once while it grows D to
-    # D_2 = 1/3, and once more after it computed a term that was never
-    # appended.
+def test_an_interrupted_step_leaves_the_recurrence_intact(monkeypatch):
+    # The builder of B_n, interrupted once while it builds B_5: the cache
+    # keeps the prefix it held, and the next call builds on from there.
+    fresh = fresh_module(bernoulli)
+    assert fresh.bernoulli_numbers(2) == bernoulli_numbers(2)
+    original = fresh._quotient_term
     interrupted = []
 
-    def d(m):
-        if m == 2 and not interrupted:
-            interrupted.append(m)
+    def step(a_m, la, q, *rest):
+        if len(q[0]) == 5 and not interrupted:
+            interrupted.append(5)
             raise KeyboardInterrupt
-        return F(1, m + 1)
+        return original(a_m, la, q, *rest)
 
-    step = series.reciprocal_step(d)
-    q = [F(1)]
-    q.append(step(q))
+    monkeypatch.setattr(fresh, "_quotient_term", step)
     with pytest.raises(KeyboardInterrupt):
-        step(q)
-    step(q)  # the result is dropped, as when extend is interrupted before it appends
-    while len(q) < 8:
-        q.append(step(q))
-    assert q == bernoulli_numbers(7)
+        fresh.bernoulli_numbers(7)
+    assert fresh._BERNOULLI == {None: tuple(bernoulli_numbers(2))}
+    assert fresh.bernoulli_numbers(7) == bernoulli_numbers(7)
+    assert interrupted == [5]
+
+
+def test_second_kind_polynomials_keep_the_latest_n_only():
+    bernoulli2nd_poly.cache_clear()
+    try:
+        for n in range(100):
+            bernoulli2nd_poly(n)
+        info = bernoulli2nd_poly.cache_info()
+        assert info.currsize == MAX_CACHED_K and info.misses == 100
+        bernoulli2nd_poly(99)
+        assert bernoulli2nd_poly.cache_info().hits == 1
+    finally:
+        bernoulli2nd_poly.cache_clear()
 
 
 def test_second_kind_polynomials():

@@ -279,6 +279,24 @@ def test_verify_usage_errors(capsys):
         assert err, args
 
 
+def test_verify_a_range_without_points_is_a_usage_error(capsys):
+    # thm3's domain starts at n = 1.
+    code, out, err = run_cli(capsys, "verify", "--identity", "thm3", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        "polybern: error: identity 'thm3' has no point in the range "
+        "n_max=0; k=-3,-2,-1,0,1,2,3; x=-2,0,1/2"
+    ]
+    # An --x with no point is the CLI's own check, before the library's.
+    code, out, err = run_cli(capsys, "verify", "--identity", "thm1", "--n-max", "3", "--x", ",")
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "polybern: error: --x needs at least one rational"
+    ]
+
+
 def test_verify_flag_without_value_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--identity", "thm2", "--n-max", "2", "--k", "--x", "1"

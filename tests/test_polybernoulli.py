@@ -726,7 +726,7 @@ def test_eq2_catches_a_wrong_series_quotient(monkeypatch):
         return F(a_m * lq * lb + la * s, la * lq * b[0])
 
     monkeypatch.setattr(series, "_quotient_term", flipped)
-    monkeypatch.setattr(bernoulli, "_B2ND", [F(1)])
+    monkeypatch.setattr(bernoulli, "_B2ND", {})
     bernoulli2nd_poly.cache_clear()
     try:
         assert not verify_identity("eq2", 12).passed
@@ -821,6 +821,23 @@ def test_verify_identity_rejects_bad_input():
         verify_identity("stirling-inversion", 3, xs=[F(0)])
     with pytest.raises(ValueError, match="n_max"):
         verify_identity("eq9", -1)
+
+
+@pytest.mark.parametrize(
+    "name, n_max, ranges",
+    [
+        ("thm3", 0, {}),
+        ("thm3", 0, {"ks": [2], "xs": [F(1, 2)]}),
+        ("thm2", 3, {"ks": []}),
+        ("thm3", 3, {"ks": ()}),
+        ("thm4", 3, {"ks": []}),
+        ("thm1", 3, {"xs": []}),
+        ("thm2", 3, {"xs": []}),
+    ],
+)
+def test_verify_identity_rejects_a_range_without_points(name, n_max, ranges):
+    with pytest.raises(ValueError, match=f"identity '{name}' has no point in the range n_max={n_max}"):
+        verify_identity(name, n_max, **ranges)
 
 
 def test_verify_identity_report_is_lexicographically_ordered():

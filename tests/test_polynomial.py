@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import horner
-from polybern.polynomial import ONE, ZERO, Polynomial, X, common_denominator
+from polybern.polynomial import MAX_CACHED_K, ONE, ZERO, Polynomial, X, common_denominator, grown
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -129,3 +129,69 @@ def test_evaluation_puts_the_coefficients_over_their_denominator_once(monkeypatc
     for x in (F(1, 2), F(-7, 3), 5, F(0)):
         assert p(x) == horner(list(p.coeffs), F(x))
     assert len(calls) == 1
+
+
+# -- the grow-only cache -------------------------------------------------------
+
+
+class Interrupted(Exception):
+    pass
+
+
+def fibonacci(n):
+    out = [1, 1][: n + 1]
+    while len(out) <= n:
+        out.append(out[-1] + out[-2])
+    return tuple(out)
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.one_of(st.none(), st.integers(0, 30))), max_size=20))
+def test_grown_holds_one_fresh_build_whatever_the_calls(calls):
+    # A toy recurrence continued from the stored prefix; a call whose builder
+    # raises at some term leaves the cache as it was.
+    cache = {}
+
+    def more(prefix, n, fail):
+        seq = list(prefix)
+        for m in range(len(prefix), n + 1):
+            if m == fail:
+                raise Interrupted
+            seq.append(seq[-1] + seq[-2] if m > 1 else 1)
+            yield seq[-1]
+
+    for n, fail in calls:
+        before = dict(cache)
+        try:
+            got = grown(cache, "key", n, lambda prefix, n: more(prefix, n, fail))
+        except Interrupted:
+            assert cache == before
+            assert len(before.get("key", ())) <= fail <= n
+        else:
+            assert got[: n + 1] == fibonacci(n)
+            assert len(cache["key"]) == max(len(before.get("key", ())), n + 1)
+        held = cache.get("key", ())
+        assert held == fibonacci(len(held) - 1)[: len(held)]
+
+
+def test_grown_calls_no_builder_for_a_stored_prefix_and_keeps_the_latest_keys():
+    def refuse(prefix, n):
+        raise AssertionError("built again")
+
+    cache = {}
+    for key in range(3 * MAX_CACHED_K):
+        assert grown(cache, key, 4, lambda prefix, n: range(len(prefix), n + 1)) == tuple(range(5))
+    assert list(cache) == list(range(2 * MAX_CACHED_K, 3 * MAX_CACHED_K))
+    assert grown(cache, 3 * MAX_CACHED_K - 1, 2, refuse) == tuple(range(5))
+
+
+def test_grown_keeps_a_longer_prefix_stored_meanwhile():
+    # A builder that grows its own key further, as a concurrent caller
+    # would, leaves the longer prefix in place.
+    cache = {}
+
+    def more(prefix, n):
+        grown(cache, "key", 9, lambda p, m: range(len(p), m + 1))
+        return range(len(prefix), n + 1)
+
+    assert grown(cache, "key", 3, more) == tuple(range(10))
+    assert cache["key"] == tuple(range(10))
