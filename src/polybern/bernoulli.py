@@ -53,7 +53,7 @@ def _more_bernoulli(prefix: tuple, n: int) -> Iterator[Fraction]:
 def _more_b2nd(prefix: tuple, n: int) -> Iterator[Fraction]:
     """b_m for m = len(prefix)..n: b_m = sum_l S1(m, l) / (l+1), from
     t/log(1+t) = integral_0^1 (1+t)^x dx and (1+t)^x = sum_m (x)_m t^m / m!,
-    one int sum over lcm(1..m+1) on the cached S1 row m."""
+    one int sum over lcm(1..m+1) on S1 row m."""
     for m in range(len(prefix), n + 1):
         den = math.lcm(*range(1, m + 2))
         yield Fraction(sum(s * (den // l) for l, s in enumerate(stirling1_row(m), 1)), den)

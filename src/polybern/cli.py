@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--l", type=_int_flag, default=None, dest="l", help="triangle column (stirling kinds)")
     table.add_argument("--convention", choices=["egf", "ogf"], default=None)
     table.add_argument("--format", choices=["csv", "json"], default="csv")
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=cmd_table, parser=table)
 
     verify = sub.add_parser("verify", help="check a built-in identity exactly")
     # Set after add_argument, which would otherwise read the names at once.
@@ -181,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", default=None, help="int or a..b range")
     verify.add_argument("--x", default=None, help="comma list of rationals and x, the symbolic point")
     verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, parser=verify)
 
     ev = sub.add_parser("eval", help="evaluate a series expression in t")
     ev.add_argument("--expr", required=True)
     ev.add_argument("--order", type=_int_flag, required=True)
     ev.add_argument("--egf", action="store_true", help="print n!*c_n instead of raw c_n")
-    ev.set_defaults(func=cmd_eval)
+    ev.set_defaults(func=cmd_eval, parser=ev)
 
     return parser
 
@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_value_flags(argv))
-        code = args.func(args, parser)
+        code = args.func(args, args.parser)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

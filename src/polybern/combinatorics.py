@@ -4,19 +4,21 @@ Stirling numbers of the second kind S2(n, l) expand monomials in the
 falling-factorial basis (x^n = sum_l S2(n, l) (x)_l); signed Stirling
 numbers of the first kind S1(n, l) go the other way ((x)_n =
 sum_l S1(n, l) x^l). Only the signed first-kind convention is exposed.
-Rows are memoized as int tuples (``polynomial.grown``);
-``stirling1``/``stirling2`` return ``Fraction`` (denominator 1) so they flow
-straight into series arithmetic, and ``stirling1_row``/``stirling2_row``
-hand out a cached row of ints.
+Every reader takes the rows in rising n, so each recurrence keeps only the
+last row it reached: a row past it steps on from there, an earlier one walks
+again from row 0. ``stirling1_row``/``stirling2_row`` hand out a row of
+ints, and ``stirling1``/``stirling2`` one entry as a ``Fraction``
+(denominator 1), so it flows straight into series arithmetic. The basis
+change back from falling factorials reads no row at all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial, X, common_denominator, exact, grown, normalize_point
+from .polynomial import Polynomial, X, common_denominator, exact, normalize_point
 
 Scalar = Union[int, Fraction]
 
@@ -58,33 +60,34 @@ def falling_factorial_poly(n: int) -> Polynomial:
     return Polynomial.constant(result)
 
 
-def _more_stirling2_rows(rows: tuple, n: int) -> Iterator[tuple[int, ...]]:
-    """S2 rows len(rows)..n: S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
-    prev = rows[-1] if rows else ()
-    for m in range(len(rows), n + 1):
-        pairs = zip((0,) + prev, prev + (0,))
-        prev = tuple(left + l * above for l, (left, above) in enumerate(pairs)) if m else (1,)
-        yield prev
+def _next_stirling2_row(m: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """S2 row m from row m - 1: S2(m, l) = S2(m-1, l-1) + l S2(m-1, l)."""
+    pairs = zip((0,) + prev, prev + (0,))
+    return tuple(left + l * above for l, (left, above) in enumerate(pairs))
 
 
-def _more_stirling1_rows(rows: tuple, n: int) -> Iterator[tuple[int, ...]]:
-    """S1 rows len(rows)..n: S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
-    prev = rows[-1] if rows else ()
-    for m in range(len(rows), n + 1):
-        pairs = zip((0,) + prev, prev + (0,))
-        prev = tuple(left - (m - 1) * above for left, above in pairs) if m else (1,)
-        yield prev
+def _next_stirling1_row(m: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """S1 row m from row m - 1: S1(m, l) = S1(m-1, l-1) - (m-1) S1(m-1, l)."""
+    return tuple(left - (m - 1) * above for left, above in zip((0,) + prev, prev + (0,)))
 
 
-# The rows 0..n of each triangle, under the key None (``grown``).
-_STIRLING2_ROWS: dict[None, tuple[tuple[int, ...], ...]] = {}
-_STIRLING1_ROWS: dict[None, tuple[tuple[int, ...], ...]] = {}
+# The last row each recurrence reached, as (m, row m), under its kind.
+_LAST_ROW: dict[str, tuple[int, tuple[int, ...]]] = {}
 
 
-def _rows(cache: dict, more: Callable, n: int) -> tuple[tuple[int, ...], ...]:
+def _row(kind: str, step: Callable, n: int) -> tuple[int, ...]:
+    """Row n of the recurrence ``step``: stepped on from the stored row m
+    when n >= m, else from row 0. Only the whole walk's (n, row n) is stored,
+    by one assignment, so an interrupted walk stores nothing."""
     if n < 0:
         raise ValueError("Stirling numbers require n >= 0")
-    return grown(cache, None, n, more)
+    m, row = _LAST_ROW.get(kind, (0, (1,)))
+    if n < m:
+        m, row = 0, (1,)
+    for i in range(m + 1, n + 1):
+        row = step(i, row)
+    _LAST_ROW[kind] = n, row
+    return row
 
 
 def stirling2(n: int, l: int) -> Fraction:
@@ -100,37 +103,33 @@ def stirling1(n: int, l: int) -> Fraction:
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:
-    """S2(n, 0..n) as ints, the cached row itself."""
-    return _rows(_STIRLING2_ROWS, _more_stirling2_rows, n)[n]
+    """S2(n, 0..n) as ints."""
+    return _row("S2", _next_stirling2_row, n)
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
-    """S1(n, 0..n) as ints, the cached row itself."""
-    return _rows(_STIRLING1_ROWS, _more_stirling1_rows, n)[n]
+    """S1(n, 0..n) as ints."""
+    return _row("S1", _next_stirling1_row, n)
 
 
 def to_falling_basis(p: Polynomial) -> list[Fraction]:
     """Coefficients d_l with p(x) = sum_l d_l (x)_l; length = degree + 1."""
-    size = len(p.coeffs)
-    out = []
-    for l in range(size):
-        total = Fraction(0)
-        for n in range(l, size):
-            total += p.coeffs[n] * stirling2(n, l)
-        out.append(total)
+    out = [Fraction(0)] * len(p.coeffs)
+    for n, c in enumerate(p.coeffs):
+        for l, s in enumerate(stirling2_row(n)):
+            out[l] += c * s
     return out
 
 
 def _from_falling(nums: Sequence[int], den: int) -> Polynomial:
-    """sum_l (nums[l] / den) (x)_l in the monomial basis: each coefficient
-    sum_l nums[l] S1(l, i) is summed in ints and reduced once."""
-    rows = grown(_STIRLING1_ROWS, None, len(nums) - 1, _more_stirling1_rows)
-    out = [0] * len(nums)
-    for l, c in enumerate(nums):
-        if c:
-            for i, s in enumerate(rows[l]):
-                out[i] += c * s
-    return Polynomial(tuple(Fraction(c, den) for c in out))
+    """sum_l (nums[l] / den) (x)_l in the monomial basis, by nested
+    multiplication nums[0] + x (nums[1] + (x - 1) (nums[2] + ...)) in ints,
+    reduced once."""
+    acc: list[int] = []
+    for l in range(len(nums) - 1, -1, -1):
+        # acc (x - l) + nums[l]
+        acc = [left - l * above for left, above in zip([nums[l], *acc], [*acc, 0])]
+    return Polynomial(tuple(Fraction(c, den) for c in acc))
 
 
 def to_monomial_basis(d: list[Fraction]) -> Polynomial:

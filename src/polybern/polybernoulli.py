@@ -50,10 +50,9 @@ Value = Union[Fraction, Polynomial]
 
 def _li_coeff(n: int, k: int) -> Fraction:
     """a_n^(k), the egf coefficient of t^n in Li_k(1 - e^(-t)), by the S2 sum
-    sum_(m=1..n) (-1)^(n+m) m! S2(n, m) m^(-k) over the cached row
-    ``stirling2_row(n)``: the weights of Theorems 2 and 3 read the Stirling
-    triangle, and nothing of the gf. For k > 0 the m^(-k) go over
-    lcm(1..n)^k, as (lcm(1..n)/m)^k."""
+    sum_(m=1..n) (-1)^(n+m) m! S2(n, m) m^(-k) over ``stirling2_row(n)``:
+    the weights of Theorems 2 and 3 read the S2 rows, and nothing of the gf.
+    For k > 0 the m^(-k) go over lcm(1..n)^k, as (lcm(1..n)/m)^k."""
     from .combinatorics import stirling2_row
 
     root = math.lcm(*range(1, n + 1)) if k > 0 else 1
@@ -77,34 +76,24 @@ def _weight_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction
     return [_li_coeff(l, k) for l in range(lo, hi + 1)]
 
 
-# Grow-only prefixes (``polynomial.grown``) per (family, k).
-_WEIGHTS: dict[tuple[str, int | None], tuple[Fraction, ...]] = {}
-_X_FREE: dict[tuple[str, int | None], tuple[Fraction, ...]] = {}
+# The grow-only prefixes (``polynomial.grown``) of the pairs (w_m, v_m) per
+# (family, k): the weights and the x-free sums they give.
+_CLOSED_SUMS: dict[tuple[str, int | None], tuple[tuple[Fraction, Fraction], ...]] = {}
 
 
-def _prefix_row(cache: dict, family: str, k: int | None, n: int, terms: Callable) -> Row:
-    """Terms 0..n of the prefix of ``cache`` at (family, k), as ints over
-    their least common denominator; ``terms(family, k, lo, hi)`` gives the
-    missing ones."""
-    prefix = grown(cache, (family, k), n, lambda have, hi: terms(family, k, len(have), hi))
-    return common_denominator(prefix[: n + 1])
-
-
-def _weights(family: str, k: int | None, n: int) -> Row:
-    """w_0..w_n of a closed sum's weights, over one common denominator."""
-    return _prefix_row(_WEIGHTS, family, k, n, _weight_terms)
-
-
-def _x_free_terms(family: str, k: int | None, lo: int, hi: int) -> list[Fraction]:
-    """v_lo..v_hi of ``family``: the egf convolution
-    v_m = sum_l C(m, l) w_l b_(m-l) of the weights with the numbers
+def _more_closed_sums(family: str, k: int | None, prefix: tuple, hi: int) -> list[tuple[Fraction, Fraction]]:
+    """(w_m, v_m) for m = len(prefix)..hi: the weights of ``family`` and
+    their egf convolution v_m = sum_l C(m, l) w_l b_(m-l) with the numbers
     ``bernoulli2nd_numbers(hi)``, that is, the coefficients of W(t) t/log(1+t)."""
     from .bernoulli import bernoulli2nd_numbers
 
-    w, w_den = _weights(family, k, hi)
+    lo = len(prefix)
+    weights = [w for w, _ in prefix] + _weight_terms(family, k, lo, hi)
+    w, w_den = common_denominator(weights)
     b, b_den = common_denominator(bernoulli2nd_numbers(hi))
+    den = w_den * b_den
     return [
-        Fraction(sum(math.comb(m, l) * w[l] * b[m - l] for l in range(m + 1) if w[l]), w_den * b_den)
+        (weights[m], Fraction(sum(math.comb(m, l) * w[l] * b[m - l] for l in range(m + 1) if w[l]), den))
         for m in range(lo, hi + 1)
     ]
 
@@ -113,7 +102,8 @@ def _x_free_sums(family: str, n: int, k: int | None) -> Row:
     """v_0..v_n, the closed sum of ``family`` at x = 0 for each m <= n, over
     one common denominator. The closed sum at any x is then V(t) (1+t)^x, the
     gf's shape."""
-    return _prefix_row(_X_FREE, family, k, n, _x_free_terms)
+    pairs = grown(_CLOSED_SUMS, (family, k), n, lambda have, hi: _more_closed_sums(family, k, have, hi))
+    return common_denominator([v for _, v in pairs[: n + 1]])
 
 
 def _falling_products(a: int, c: int, n: int) -> list[int]:
@@ -452,14 +442,15 @@ def _check_b_equals_higher_order(n_max, ks, xs):
 
 
 def _check_stirling_inversion(n_max, ks, xs):
-    from .combinatorics import stirling1, stirling2
+    # Every row in rising n, so that each kind is walked once.
+    from .combinatorics import stirling1_row, stirling2_row
 
+    s1 = [stirling1_row(l) for l in range(n_max + 1)]
     for n in range(n_max + 1):
+        s2 = stirling2_row(n)
         for m in range(n + 1):
-            total = Fraction(0)
-            for l in range(m, n + 1):
-                total += stirling2(n, l) * stirling1(l, m)
-            yield (n, m), total, Fraction(1 if n == m else 0)
+            total = sum(s2[l] * s1[l][m] for l in range(m, n + 1))
+            yield (n, m), Fraction(total), Fraction(1 if n == m else 0)
 
 
 IDENTITIES: dict[str, IdentitySpec] = {

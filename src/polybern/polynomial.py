@@ -9,9 +9,9 @@ than once per term. Evaluation at a rational point uses it (a homogeneous
 Horner rule), and so do the closed sums in ``polybernoulli`` and the basis
 change in ``combinatorics``.
 
-``grown`` is how every growing cache of polybern grows: the Stirling rows,
-the Bernoulli numbers of both kinds and the closed sums' weights and x-free
-sums are grow-only prefixes that it extends, under one lock.
+``grown`` is how every growing cache of polybern grows: the Bernoulli
+numbers of both kinds and the closed sums' weights and x-free sums are
+grow-only prefixes that it extends, under one lock.
 """
 
 from __future__ import annotations

@@ -101,8 +101,8 @@ def fresh_module(module):
 
 def fresh_sequences():
     """Fresh copies of ``bernoulli`` and ``combinatorics``, the b_n of the
-    one reading the S1 rows of the other, and their readers and caches by
-    name."""
+    one reading the S1 rows of the other, their readers by name, and the
+    caches of B_n and b_n."""
     bern, comb = fresh_module(bernoulli), fresh_module(combinatorics)
     bern.stirling1_row = comb.stirling1_row
     readers = {
@@ -111,15 +111,26 @@ def fresh_sequences():
         "S1": comb.stirling1_row,
         "S2": comb.stirling2_row,
     }
-    caches = {"B": bern._BERNOULLI, "b": bern._B2ND, "S1": comb._STIRLING1_ROWS, "S2": comb._STIRLING2_ROWS}
-    return readers, caches
+    return readers, {"B": bern._BERNOULLI, "b": bern._B2ND}
+
+
+def fresh_walks(n):
+    """S1 and S2 rows 0..n, each walked from row 0 by a fresh cursor."""
+    comb = fresh_module(combinatorics)
+    rows = {}
+    for name, read in (("S1", comb.stirling1_row), ("S2", comb.stirling2_row)):
+        rows[name] = []
+        for m in range(n + 1):
+            comb._LAST_ROW.clear()
+            rows[name].append(read(m))
+    return rows
 
 
 def _one_build_each(n):
     readers, caches = fresh_sequences()
     for read in readers.values():
         read(n)
-    return {name: cache[None] for name, cache in caches.items()}
+    return {**{name: cache[None] for name, cache in caches.items()}, **fresh_walks(n)}
 
 
 FRESH = _one_build_each(40)
@@ -128,8 +139,8 @@ FRESH = _one_build_each(40)
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["B", "b", "S1", "S2"]), st.integers(0, 40)), min_size=1, max_size=12))
 def test_interleaved_calls_match_one_fresh_build(calls):
-    # Each call returns what one build at n = 40 holds, and each cache, the
-    # S1 rows grown by b_n included, holds a prefix of that build.
+    # Each call returns what one build at n = 40 holds, or, for a Stirling
+    # row, what a fresh walk gives; each cache holds a prefix of that build.
     readers, caches = fresh_sequences()
     for name, n in calls:
         got = readers[name](n)
@@ -186,11 +197,11 @@ def test_concurrent_growth_appends_each_term_once():
 
 
 def test_second_kind_numbers_grow_from_empty_stirling_rows(monkeypatch):
-    # Each b_n reads S1 row n, which the builder of b_n grows itself, outside
+    # Each b_n reads S1 row n, which the builder of b_n walks itself, outside
     # the one lock of the caches. The lock is a fresh one, so a hung thread
     # holds no lock other tests take.
     fresh = fresh_module(bernoulli)
-    monkeypatch.setattr(combinatorics, "_STIRLING1_ROWS", {})
+    monkeypatch.setattr(combinatorics, "_LAST_ROW", {})
     monkeypatch.setattr(polynomial, "_lock", threading.Lock())
     results = []
     thread = threading.Thread(target=lambda: results.append(fresh.bernoulli2nd_numbers(30)), daemon=True)
@@ -198,9 +209,8 @@ def test_second_kind_numbers_grow_from_empty_stirling_rows(monkeypatch):
     thread.join(timeout=10)
     assert not thread.is_alive(), "bernoulli2nd_numbers hung"
     assert results == [bernoulli2nd_numbers(30)]
-    rows = combinatorics._STIRLING1_ROWS[None]
-    assert len(rows) == 31
-    assert [sum(map(abs, row)) for row in rows] == [math.factorial(n) for n in range(31)]
+    m, row = combinatorics._LAST_ROW["S1"]
+    assert m == 30 and sum(map(abs, row)) == math.factorial(30)
 
 
 def test_an_interrupted_step_leaves_the_recurrence_intact(monkeypatch):

@@ -286,14 +286,14 @@ def test_verify_a_range_without_points_is_a_usage_error(capsys):
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == [
-        "polybern: error: identity 'thm3' has no point in the range "
+        "polybern verify: error: identity 'thm3' has no point in the range "
         "n_max=0; k=-3,-2,-1,0,1,2,3; x=-2,0,1/2"
     ]
     # An --x with no point is the CLI's own check, before the library's.
     code, out, err = run_cli(capsys, "verify", "--identity", "thm1", "--n-max", "3", "--x", ",")
     assert (code, out) == (2, "")
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "polybern: error: --x needs at least one rational"
+        "polybern verify: error: --x needs at least one rational"
     ]
 
 
@@ -335,7 +335,7 @@ def test_verify_x_takes_no_other_name(capsys, point):
     code, out, err = run_cli(capsys, "verify", "--identity", "thm1", "--n-max", "2", "--x", f"1/2,{point}")
     assert code == 2 and not out
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert errors == [f"polybern: error: not a rational literal: {point!r}"]
+    assert errors == [f"polybern verify: error: not a rational literal: {point!r}"]
 
 
 # -- eval ---------------------------------------------------------------------
@@ -475,6 +475,21 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and err
     code, _, err = run_cli(capsys, "eval", "--expr", "t", "--order", "-1")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("table", "--kind", "poly2nd", "-n", "3"), "polybern table: error: --kind poly2nd requires -k"),
+        (("eval", "--expr", "t", "--order", "-1"), "polybern eval: error: --order must be >= 0"),
+    ],
+)
+def test_a_command_usage_error_prints_that_commands_usage(capsys, argv, error):
+    # The usage and prog of argparse's own errors for the same command.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: polybern {argv[0]} [-h]")
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
 
 
 SEVENS = "7" * 4000

@@ -1,10 +1,15 @@
+import importlib.util
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import falling_coeffs, monomial_from_falling, pascal_row, set_partition_count
+from oracles import falling_coeffs, monomial_from_falling, pascal_row, set_partition_count, stirling2_explicit
+from polybern import combinatorics
 from polybern.combinatorics import (
     binomial,
     falling_factorial_at,
@@ -155,3 +160,121 @@ def test_stirling_values_are_fractions_over_int_rows():
     assert all(type(s) is int for s in stirling1_row(12))
     with pytest.raises(ValueError):
         stirling1_row(-1)
+
+
+# -- the row cursor -------------------------------------------------------------
+
+
+def fresh_combinatorics():
+    """A new copy of ``combinatorics`` whose cursors start empty."""
+    spec = importlib.util.spec_from_file_location("polybern._fresh_combinatorics", combinatorics.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    return fresh
+
+
+READERS = {"S1": "stirling1_row", "S2": "stirling2_row"}
+STEPS = {"S1": "_next_stirling1_row", "S2": "_next_stirling2_row"}
+N = 40
+
+
+def fresh_walk(comb, kind, n):
+    """Row n of ``kind``, walked from row 0 by an emptied cursor."""
+    comb._LAST_ROW.clear()
+    return getattr(comb, READERS[kind])(n)
+
+
+_WALKER = fresh_combinatorics()
+FRESH = {kind: [fresh_walk(_WALKER, kind, n) for n in range(N + 1)] for kind in READERS}
+
+
+def test_a_fresh_walk_matches_the_explicit_rows():
+    for n in range(N + 1):
+        assert FRESH["S1"][n] == tuple(falling_coeffs(n)), n
+        assert FRESH["S2"][n] == tuple(stirling2_explicit(n, m) for m in range(n + 1)), n
+
+
+_calls = st.lists(
+    st.tuples(st.sampled_from(sorted(READERS)), st.integers(0, N), st.one_of(st.none(), st.integers(1, N))),
+    min_size=1,
+    max_size=15,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _calls,
+        _calls.map(lambda calls: sorted(calls, key=lambda call: call[1])),
+        _calls.map(lambda calls: sorted(calls, key=lambda call: -call[1])),
+    )
+)
+def test_the_cursor_gives_a_fresh_walk_and_keeps_its_row_through_an_interrupt(calls):
+    # Rising, falling and repeated n, S1 and S2 interleaved; a call whose
+    # stop is not None raises KeyboardInterrupt in its walk's step to that
+    # row, if the walk takes that step.
+    comb = fresh_combinatorics()
+    for kind, n, stop in calls:
+        step = getattr(comb, STEPS[kind])
+
+        def interrupted(i, prev):
+            if i == stop:
+                raise KeyboardInterrupt
+            return step(i, prev)
+
+        before = dict(comb._LAST_ROW)
+        setattr(comb, STEPS[kind], interrupted)
+        try:
+            row = getattr(comb, READERS[kind])(n)
+        except KeyboardInterrupt:
+            assert comb._LAST_ROW == before, (kind, n, stop)
+        else:
+            assert row == FRESH[kind][n], (kind, n, stop)
+            assert comb._LAST_ROW[kind] == (n, row)
+        finally:
+            setattr(comb, STEPS[kind], step)
+
+
+def test_a_column_walk_holds_one_row_at_a_time():
+    # The whole triangle up to row 400 would take over 14 MB.
+    comb = fresh_combinatorics()
+    tracemalloc.start()
+    try:
+        for n in range(401):
+            comb.stirling1(n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert comb.stirling1(400, 3) == F(falling_coeffs(400)[3])
+
+
+def test_threads_walking_different_n_each_get_their_rows():
+    # More threads than cores, each reading both kinds in its own order.
+    comb = fresh_combinatorics()
+    walks = {
+        "rising": list(range(N + 1)) * 5,
+        "falling": list(range(N, -1, -1)) * 5,
+        "rising by 3": list(range(0, N + 1, 3)) * 10,
+        "repeated": [N // 2, N // 2, N, 1] * 20,
+    }
+    wrong = []
+
+    def walk(order):
+        for n in walks[order]:
+            for kind in READERS:
+                if getattr(comb, READERS[kind])(n) != FRESH[kind][n]:
+                    wrong.append((order, kind, n))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(order,)) for order in walks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

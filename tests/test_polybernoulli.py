@@ -232,6 +232,12 @@ def test_the_gf_reads_no_stirling_row_at_the_default_k_of_verify(monkeypatch):
         polybernoulli._gf_values.cache_clear()
 
 
+def closed_sum_weights(family, k, n):
+    """w_0..w_n of ``family`` at k, as the one closed-sum cache holds them."""
+    polybernoulli._x_free_sums(family, n, k)
+    return [w for w, _ in polybernoulli._CLOSED_SUMS[family, k][: n + 1]]
+
+
 def test_the_closed_sum_weights_call_nothing_of_the_gf(monkeypatch):
     # _li_coeff is the route of Theorems 2 and 3 over stirling2_row; it
     # shares no code with the gf's S2 sum, which it checks.
@@ -247,11 +253,10 @@ def test_the_closed_sum_weights_call_nothing_of_the_gf(monkeypatch):
 
     for name in ("_s2_sum", "_inverse_powers"):
         monkeypatch.setattr(gf, name, refuse)
-    monkeypatch.setattr(polybernoulli, "_WEIGHTS", {})
+    monkeypatch.setattr(polybernoulli, "_CLOSED_SUMS", {})
     for family in ("thm2", "thm3"):
         for k in ks:
-            nums, den = polybernoulli._weights(family, k, 25)
-            assert [F(c, den) for c in nums[:26]] == expected[family, k][:26], (family, k)
+            assert closed_sum_weights(family, k, 25) == expected[family, k][:26], (family, k)
 
 
 def test_gf_reduces_to_second_kind_at_k1():
@@ -573,16 +578,17 @@ def test_a_library_loop_over_n_builds_each_x_free_sum_once(monkeypatch):
     x = F(1, 3)
     expected = [poly_b2nd_values(n, 3, x)[n] for n in range(41)]
     built = []
-    original = polybernoulli._x_free_terms
+    original = polybernoulli._more_closed_sums
 
-    def once(family, k, lo, hi):
+    def once(family, k, prefix, hi):
+        lo = len(prefix)
         if any(lo <= m <= hi for f, k_, m in built if (f, k_) == (family, k)):
             raise AssertionError(f"x-free sums of {family} at k = {k} built again")
         built.extend((family, k, m) for m in range(lo, hi + 1))
-        return original(family, k, lo, hi)
+        return original(family, k, prefix, hi)
 
-    monkeypatch.setattr(polybernoulli, "_X_FREE", {})
-    monkeypatch.setattr(polybernoulli, "_x_free_terms", once)
+    monkeypatch.setattr(polybernoulli, "_CLOSED_SUMS", {})
+    monkeypatch.setattr(polybernoulli, "_more_closed_sums", once)
     assert [poly_b2nd_theorem2(n, 3, x) for n in range(41)] == expected
     assert [poly_b2nd_theorem2(n, 3, x) for n in range(41)] == expected
     assert poly_b2nd_theorem2(40, 3, X)(x) == expected[40]
@@ -595,15 +601,13 @@ def test_the_caches_keep_the_latest_k_only(monkeypatch):
     bound = polybernoulli.MAX_CACHED_K
     names = ("thm2", "thm3", "thm4")
     assert bound >= sum(len(IDENTITIES[name].ks) for name in names)
-    monkeypatch.setattr(polybernoulli, "_WEIGHTS", {})
-    monkeypatch.setattr(polybernoulli, "_X_FREE", {})
+    monkeypatch.setattr(polybernoulli, "_CLOSED_SUMS", {})
     gf._gf_values.cache_clear()
     try:
         for k in range(-50, 50):
             assert poly_b2nd_theorem2(3, k, F(1, 2)) == poly_b2nd_values(3, k, F(1, 2))[3]
         latest = set(range(50 - bound, 50))
-        for cache in (polybernoulli._WEIGHTS, polybernoulli._X_FREE):
-            assert set(cache) == {("thm2", k) for k in latest}
+        assert set(polybernoulli._CLOSED_SUMS) == {("thm2", k) for k in latest}
         assert gf._gf_values.cache_info().currsize == bound
         # verify's default k of thm2, thm3 and thm4 fit at once, also at
         # three different n_max.
@@ -617,18 +621,14 @@ def test_the_caches_keep_the_latest_k_only(monkeypatch):
 
 
 def test_weights_are_a_grow_only_prefix():
-    def values(family, k, n):
-        nums, den = polybernoulli._weights(family, k, n)
-        return [F(c, den) for c in nums[: n + 1]]
-
     for family, k in (("thm1", None), ("thm2", 3), ("thm2", -2), ("thm3", 4)):
-        short = values(family, k, 5)
-        long = values(family, k, 30)
+        short = closed_sum_weights(family, k, 5)
+        long = closed_sum_weights(family, k, 30)
         assert long[:6] == short
-    assert values("thm2", 3, 12) == [polybernoulli._li_coeff(l + 1, 3) / (l + 1) for l in range(13)]
-    assert values("thm3", -1, 12) == [polybernoulli._li_coeff(p, -1) for p in range(13)]
+    assert closed_sum_weights("thm2", 3, 12) == [polybernoulli._li_coeff(l + 1, 3) / (l + 1) for l in range(13)]
+    assert closed_sum_weights("thm3", -1, 12) == [polybernoulli._li_coeff(p, -1) for p in range(13)]
     b = bernoulli.bernoulli_numbers(12)
-    assert values("thm1", None, 12) == [b[l] / (l + 1) for l in range(13)]
+    assert closed_sum_weights("thm1", None, 12) == [b[l] / (l + 1) for l in range(13)]
 
 
 @given(
