@@ -18,36 +18,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .combinatorics import binomial, binomial_falling_poly, stirling1_row
-from .polynomial import MAX_CACHED_K, Polynomial, X, appended, common_denominator, grown, normalize_point
-from .series import TruncatedSeries, _pascal_rows, _quotient_term, pow1p_row
+from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, exact, grown, normalize_point
+from .series import TruncatedSeries, pow1p_nums, pow1p_row
 
 Scalar = Union[int, Fraction]
 
 
-# The grow-only prefixes (``polynomial.grown``) of the egf coefficients of
-# t/(e^t - 1) and of t/log(1+t), under the key None.
-_BERNOULLI: dict[None, tuple[Fraction, ...]] = {}
+# The grow-only prefix (``polynomial.grown``) of the egf coefficients of
+# t/log(1+t), under the key None.
 _B2ND: dict[None, tuple[Fraction, ...]] = {}
-
-
-def _more_bernoulli(prefix: tuple, n: int) -> Iterator[Fraction]:
-    """B_m for m = len(prefix)..n: the egf coefficients of 1/D(t) for
-    D = (e^t - 1)/t, whose egf coefficients are 1/(m+1), by ``div_unit``'s
-    forward substitution (``_quotient_term``) continued from the prefix. D
-    starts over lcm(1..len(prefix)) and grows term by term, over lcm(1..m+1)
-    at term m."""
-    start = len(prefix)
-    q = appended(((), 1), prefix)
-    root = math.lcm(*range(1, start + 1))
-    d = (tuple(root // j for j in range(1, start + 1)), root)
-    for m, row in zip(range(start, n + 1), _pascal_rows(start)):
-        d = appended(d, [Fraction(1, m + 1)])
-        term = _quotient_term(int(m == 0), 1, q, *d, row)
-        q = appended(q, [term])
-        yield term
 
 
 def _more_b2nd(prefix: tuple, n: int) -> Iterator[Fraction]:
@@ -60,10 +42,23 @@ def _more_b2nd(prefix: tuple, n: int) -> Iterator[Fraction]:
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_{n_max}: the egf coefficients of t/(e^t - 1)."""
+    """B_0..B_{n_max}: the egf coefficients of t/(e^t - 1), built afresh by
+    Brent and Harvey's recurrence for the tangent numbers T_1..T_h, h =
+    n_max // 2 (arXiv:1108.0286): from T_j = (j-1)!, the passes k = 2..h take
+    T_j <- (j-k) T_(j-1) + (j-k+2) T_j for j = k..h in place, small-int
+    multipliers only. Then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and
+    B_n = 0 at odd n > 1."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return list(grown(_BERNOULLI, None, n_max, _more_bernoulli)[: n_max + 1])
+    half = n_max // 2
+    t = [math.factorial(j) for j in range(half)]  # t[j-1] = T_j
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j - 1] = (j - k) * t[j - 2] + (j - k + 2) * t[j - 1]
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+    for k, tangent in enumerate(t, 1):
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent, 4**k * (4**k - 1))
+    return out[: n_max + 1]
 
 
 def bernoulli2nd_numbers(n_max: int) -> list[Fraction]:
@@ -96,24 +91,22 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
     return binomial_falling_poly(common_denominator(bernoulli2nd_numbers(n)), n)
 
 
-def _appell(p: Sequence[Fraction], n: int) -> Polynomial:
-    """sum_j C(n, j) p_{n-j} x^j: the egf coefficient n of P(t) e^(x t),
-    where p_0..p_n are the egf coefficients of P."""
-    return Polynomial(tuple(binomial(n, j) * p[n - j] for j in range(n + 1)))
-
-
 def bernoulli_values(n_max: int, x: Scalar) -> list[Fraction]:
-    """B_0(x)..B_{n_max}(x), B_n(x) = sum_j C(n, j) B_{n-j} x^j, from one
-    ``bernoulli_numbers`` call. A ``float`` x raises ``TypeError``."""
-    b = bernoulli_numbers(n_max)
-    return [_appell(b, n)(x) for n in range(n_max + 1)]
+    """B_0(x)..B_{n_max}(x), B_n(x) = sum_j C(n, j) B_{n-j} x^j: the egf
+    coefficients of t/(e^t - 1) * e^(x t), from one ``bernoulli_numbers``
+    call and the x-shift ``pow1p_nums`` on the row a^j = x^j c^j for
+    x = a/c. A ``float`` x raises ``TypeError``."""
+    x = exact(x)
+    b = TruncatedSeries.from_egf(*common_denominator(bernoulli_numbers(n_max)))
+    nums = pow1p_nums(b, x, [x.numerator**j for j in range(n_max + 1)])
+    return [Fraction(v, b._egf[1] * x.denominator**n) for n, v in enumerate(nums)]
 
 
 def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
     """B_n^(alpha)(x): egf coefficient n of (t/(e^t - 1))^alpha * e^(x t).
 
     The power is a rational series (Miller's recurrence, see
-    ``TruncatedSeries.__pow__``) of the cached prefix of t/(e^t - 1); with p
+    ``TruncatedSeries.__pow__``) of t/(e^t - 1) to order n; with p
     its egf coefficients, B_n^(alpha)(x) is the polynomial
     sum_j C(n, j) p_{n-j} x^j, substituted at ``x``. A rational ``x`` returns
     a ``Fraction``, a polynomial one a ``Polynomial``, and a ``float`` raises
@@ -124,4 +117,4 @@ def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):
     if not isinstance(alpha, int) or alpha < 0:
         raise ValueError("negative order unsupported")
     powered = TruncatedSeries.from_egf(*common_denominator(bernoulli_numbers(n))) ** alpha
-    return _appell([powered.egf_coefficient(m) for m in range(n + 1)], n)(x)
+    return Polynomial(tuple(binomial(n, j) * powered.egf_coefficient(n - j) for j in range(n + 1)))(x)

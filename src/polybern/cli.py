@@ -255,12 +255,10 @@ def _table_values(args, parser: argparse.ArgumentParser):
             values = bernoulli.bernoulli2nd_numbers(n_max)
         if convention == "ogf":
             values = [v / math.factorial(n) for n, v in enumerate(values)]
-    else:  # higher-order
+    else:  # higher-order: B_n^(n)(x) = b_n(x - 1) (Norlund)
         point = x if x is not None else Fraction(0)
         params["x"] = str(point)
-        values = [
-            bernoulli.higher_order_bernoulli_poly(n, n, point) for n in range(n_max + 1)
-        ]
+        values = bernoulli.bernoulli2nd_values(n_max, point - 1)
 
     return params, values
 

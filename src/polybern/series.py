@@ -368,21 +368,24 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
     return _over_powers(_falling(x.numerator, x.denominator, order), x.denominator, order)
 
 
-def pow1p_nums(series: TruncatedSeries, x: object) -> list[int]:
+def pow1p_nums(series: TruncatedSeries, x: object, basis: Sequence[int] | None = None) -> list[int]:
     """The egf coefficients of series * (1+t)^x at a rational x = a/c, as
     ints: b_n = nums[n] / (L c^n), L the series' egf denominator. With the
     series' egf coefficients Q_m / L, b_n = sum_j C(n, j) q_(n-j) (x)_j is
     the int sum of C(n, j) Q_(n-j) c^(n-j) (x)_j c^j over L c^n, where
     (x)_j c^j = prod_{i<j} (a - i c) vanishes past j = x at an integer x >= 0.
+    A ``basis`` row u_j replaces (x)_j c^j: the series times the egf u_j / c^j,
+    so a^j = x^j c^j gives series * e^(x t).
     """
     x = exact(x)
     c = x.denominator
     nums = series._egf[0]
-    falling = _falling(x.numerator, c, series.order)
+    if basis is None:
+        basis = _falling(x.numerator, c, series.order)
     scaled = [q * c**m for m, q in enumerate(nums)]  # Q_m c^m
-    # falling ends at its first zero, so each sum stops there.
+    # A falling row ends at its first zero, so each sum stops there.
     rows = zip(range(len(nums)), _pascal_rows(0))
-    return [sum(map(mul, map(mul, row, falling), scaled[n::-1])) for n, row in rows]
+    return [sum(map(mul, map(mul, row, basis), scaled[n::-1])) for n, row in rows]
 
 
 def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:

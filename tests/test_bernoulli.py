@@ -41,6 +41,10 @@ def test_classical_bernoulli_values():
     assert values[3] == 0
     assert values[4] == F(-1, 30)
     assert values[6] == F(1, 42)
+    assert bernoulli_numbers(0) == [1]
+    assert bernoulli_numbers(1) == [1, F(-1, 2)]
+    assert bernoulli_numbers(2) == [1, F(-1, 2), F(1, 6)]
+    assert bernoulli_numbers(3) == [1, F(-1, 2), F(1, 6), 0]
 
 
 def test_classical_recurrence_oracle():
@@ -102,16 +106,15 @@ def fresh_module(module):
 def fresh_sequences():
     """Fresh copies of ``bernoulli`` and ``combinatorics``, the b_n of the
     one reading the S1 rows of the other, their readers by name, and the
-    caches of B_n and b_n."""
+    cache of b_n."""
     bern, comb = fresh_module(bernoulli), fresh_module(combinatorics)
     bern.stirling1_row = comb.stirling1_row
     readers = {
-        "B": bern.bernoulli_numbers,
         "b": bern.bernoulli2nd_numbers,
         "S1": comb.stirling1_row,
         "S2": comb.stirling2_row,
     }
-    return readers, {"B": bern._BERNOULLI, "b": bern._B2ND}
+    return readers, {"b": bern._B2ND}
 
 
 def fresh_walks(n):
@@ -137,10 +140,10 @@ FRESH = _one_build_each(40)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["B", "b", "S1", "S2"]), st.integers(0, 40)), min_size=1, max_size=12))
+@given(st.lists(st.tuples(st.sampled_from(["b", "S1", "S2"]), st.integers(0, 40)), min_size=1, max_size=12))
 def test_interleaved_calls_match_one_fresh_build(calls):
     # Each call returns what one build at n = 40 holds, or, for a Stirling
-    # row, what a fresh walk gives; each cache holds a prefix of that build.
+    # row, what a fresh walk gives; the cache holds a prefix of that build.
     readers, caches = fresh_sequences()
     for name, n in calls:
         got = readers[name](n)
@@ -174,7 +177,7 @@ def test_concurrent_growth_appends_each_term_once():
 
     def walk(i):
         for n in range(i % 4, 60, 4):
-            results[i] = (fresh.bernoulli_numbers(n), fresh.gregory_coefficients(n))
+            results[i] = (fresh.bernoulli2nd_numbers(n), fresh.gregory_coefficients(n))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -189,10 +192,10 @@ def test_concurrent_growth_appends_each_term_once():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 8
     # A shorter prefix stored over a longer one would lose terms.
-    assert len(fresh._BERNOULLI[None]) == len(fresh._B2ND[None]) == 60
+    assert len(fresh._B2ND[None]) == 60
     for numbers, gregory in results.values():
         n = len(numbers) - 1
-        assert numbers == bernoulli_numbers(n)
+        assert numbers == bernoulli2nd_numbers(n)
         assert gregory == gregory_coefficients(n)
 
 
@@ -214,24 +217,24 @@ def test_second_kind_numbers_grow_from_empty_stirling_rows(monkeypatch):
 
 
 def test_an_interrupted_step_leaves_the_recurrence_intact(monkeypatch):
-    # The builder of B_n, interrupted once while it builds B_5: the cache
+    # The builder of b_n, interrupted once while it builds b_5: the cache
     # keeps the prefix it held, and the next call builds on from there.
     fresh = fresh_module(bernoulli)
-    assert fresh.bernoulli_numbers(2) == bernoulli_numbers(2)
-    original = fresh._quotient_term
+    assert fresh.bernoulli2nd_numbers(2) == bernoulli2nd_numbers(2)
+    original = fresh.stirling1_row
     interrupted = []
 
-    def step(a_m, la, q, *rest):
-        if len(q[0]) == 5 and not interrupted:
+    def row(m):
+        if m == 5 and not interrupted:
             interrupted.append(5)
             raise KeyboardInterrupt
-        return original(a_m, la, q, *rest)
+        return original(m)
 
-    monkeypatch.setattr(fresh, "_quotient_term", step)
+    monkeypatch.setattr(fresh, "stirling1_row", row)
     with pytest.raises(KeyboardInterrupt):
-        fresh.bernoulli_numbers(7)
-    assert fresh._BERNOULLI == {None: tuple(bernoulli_numbers(2))}
-    assert fresh.bernoulli_numbers(7) == bernoulli_numbers(7)
+        fresh.bernoulli2nd_numbers(7)
+    assert fresh._B2ND == {None: tuple(bernoulli2nd_numbers(2))}
+    assert fresh.bernoulli2nd_numbers(7) == bernoulli2nd_numbers(7)
     assert interrupted == [5]
 
 
@@ -337,9 +340,9 @@ def test_higher_order_squared_series_oracle():
 def test_bernoulli_values_match_the_order_one_power():
     # B_n(x) from the numbers by the binomial sum, against the egf of
     # t/(e^t - 1) * e^(x t) read through higher_order_bernoulli_poly.
-    for x in (F(0), F(1, 3), F(-7, 2)):
-        values = bernoulli_values(20, x)
-        assert values == [higher_order_bernoulli_poly(n, 1, x) for n in range(21)]
+    for x in (F(0), F(1, 3), F(2, 7), F(-7, 2)):
+        values = bernoulli_values(40, x)
+        assert values == [higher_order_bernoulli_poly(n, 1, x) for n in range(41)]
     assert bernoulli_values(12, 0) == bernoulli_numbers(12)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polybern import bernoulli, cli, combinatorics, expr, gf, polybernoulli, polynomial
+from polybern import bernoulli, cli, combinatorics, expr, gf, polybernoulli, polynomial, series
 from polybern.cli import main
 from polybern.combinatorics import stirling1, stirling2
 
@@ -92,6 +92,36 @@ def test_table_higher_order_diagonal(capsys):
     assert code == 0
     expected = [bernoulli.higher_order_bernoulli_poly(n, n, F(0)) for n in range(4)]
     assert [v for _, v in parse_csv(out)] == expected
+
+
+def test_table_higher_order_takes_no_series_power(capsys, monkeypatch):
+    # The table reads b_n(x - 1) = B_n^(n)(x) and no Miller power; the power,
+    # the definition of B_n^(n)(x), gives the expected lines before it is
+    # patched to raise.
+    power = bernoulli.higher_order_bernoulli_poly
+    expected = ["n,value", *(f"{n},{power(n, n, F(1, 3))}" for n in range(41))]
+
+    def refuse(*args):
+        raise AssertionError("TruncatedSeries.__pow__ called")
+
+    monkeypatch.setattr(series.TruncatedSeries, "__pow__", refuse)
+    code, out, _ = run_cli(capsys, "table", "--kind", "higher-order", "-n", "40", "--x", "1/3")
+    assert code == 0 and out.splitlines() == expected
+
+
+def test_verify_b_equals_higher_order_calls_the_series_power(capsys, monkeypatch):
+    # The identity's right side stays the definition, not the table's route.
+    calls = []
+    power = bernoulli.higher_order_bernoulli_poly
+
+    def counted(n, alpha, x):
+        calls.append((n, alpha))
+        return power(n, alpha, x)
+
+    monkeypatch.setattr(bernoulli, "higher_order_bernoulli_poly", counted)
+    code, out, _ = run_cli(capsys, "verify", "--identity", "b-equals-higher-order", "--n-max", "8")
+    assert code == 0 and "status: PASS" in out
+    assert calls == [(n, n) for n in range(9)]
 
 
 def test_table_json_matches_csv(capsys):

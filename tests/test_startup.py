@@ -56,6 +56,7 @@ def test_importing_the_cli_loads_only_the_package_and_the_cli():
         (("eval", "--expr", "exp(t) / (1 - 2*t)^2 + log1p(t)", "--order", "4"), EVAL),
         (("eval", "--expr", "Li(2, t)", "--order", "4"), EVAL),
         (("table", "--kind", "bernoulli", "-n", "3"), TABLES),
+        (("table", "--kind", "bernoulli", "-n", "3", "--x", "1/2"), TABLES),
         (("table", "--kind", "bernoulli2nd", "-n", "3", "--x", "1/2", "--convention", "ogf"), TABLES),
         (("table", "--kind", "higher-order", "-n", "3"), TABLES),
         (("table", "--kind", "stirling2", "-n", "3", "--l", "1"), STIRLING),
