@@ -21,8 +21,8 @@ from operator import mul, truediv
 from typing import Iterator, Union
 
 from .combinatorics import binomial, binomial_falling_poly, stirling1_row
-from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, exact, grown, normalize_point
-from .series import TruncatedSeries, pow1p_nums, pow1p_row
+from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, exact, grown
+from .series import TruncatedSeries, pow1p_row
 
 Scalar = Union[int, Fraction]
 
@@ -76,8 +76,9 @@ def gregory_coefficients(n_max: int) -> list[Fraction]:
 
 def bernoulli2nd_values(n_max: int, x: Scalar) -> tuple[Fraction, ...]:
     """b_0(x)..b_{n_max}(x) at a rational x: the egf coefficients of
-    t/log(1+t) * (1+t)^x, from one ``bernoulli2nd_numbers`` call."""
-    x = normalize_point(x)
+    t/log(1+t) * (1+t)^x, from one ``bernoulli2nd_numbers`` call. A ``float``
+    or ``Polynomial`` x raises ``TypeError``."""
+    x = exact(x, "a point must be an int or Fraction")
     b = TruncatedSeries.from_egf(*common_denominator(bernoulli2nd_numbers(n_max)))
     return pow1p_row(b, x)
 
@@ -94,12 +95,11 @@ def bernoulli2nd_poly(n: int) -> Polynomial:
 def bernoulli_values(n_max: int, x: Scalar) -> list[Fraction]:
     """B_0(x)..B_{n_max}(x), B_n(x) = sum_j C(n, j) B_{n-j} x^j: the egf
     coefficients of t/(e^t - 1) * e^(x t), from one ``bernoulli_numbers``
-    call and the x-shift ``pow1p_nums`` on the row a^j = x^j c^j for
-    x = a/c. A ``float`` x raises ``TypeError``."""
-    x = exact(x)
+    call and the x-shift ``pow1p_row`` on the row a^j = x^j c^j for
+    x = a/c. A ``float`` or ``Polynomial`` x raises ``TypeError``."""
+    x = exact(x, "a point must be an int or Fraction")
     b = TruncatedSeries.from_egf(*common_denominator(bernoulli_numbers(n_max)))
-    nums = pow1p_nums(b, x, [x.numerator**j for j in range(n_max + 1)])
-    return [Fraction(v, b._egf[1] * x.denominator**n) for n, v in enumerate(nums)]
+    return list(pow1p_row(b, x, [x.numerator**j for j in range(n_max + 1)]))
 
 
 def higher_order_bernoulli_poly(n: int, alpha: int, x: Scalar | Polynomial = X):

@@ -14,8 +14,8 @@ MAX_ABS_K = 20_000
 
 def check_k(k: int) -> int:
     """``k`` itself if it is an ``int`` of at most ``MAX_ABS_K`` in absolute
-    value; else ``TypeError`` or ``ValueError``."""
-    if not isinstance(k, int):
+    value; else ``TypeError`` (a ``bool`` included) or ``ValueError``."""
+    if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"k must be an int, not {type(k).__name__}")
     if abs(k) > MAX_ABS_K:
         raise ValueError(f"|k| must be at most {MAX_ABS_K}, not {abs(k)}")

@@ -13,9 +13,10 @@ Grammar (whitespace insignificant, columns 1-based):
 
 Expressions denote exact truncated series in t; there is no symbolic x here
 (symbolic computations live in the library and the verify command). Series
-division picks the unit or valuation route by inspecting leading zeros of
-both operands; a denominator whose valuation exceeds the numerator's (or
-which vanishes identically at the working order) is rejected.
+division is ``TruncatedSeries``' ``/``, which shifts out the denominator's
+valuation: a denominator whose valuation exceeds the numerator's is
+rejected, and one that vanishes at the working order is evaluated again at a
+padded order (``eval_expr``) before it is rejected.
 
 Nesting is capped at ``MAX_DEPTH`` levels, both for open parentheses,
 function calls and unary minus signs and for the height of the parsed tree
@@ -55,13 +56,6 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     """Semantic error while evaluating a parsed expression."""
-
-
-class _AllZeroDenominator(EvalError):
-    """A denominator with no nonzero coefficient in the working window."""
-
-    def __init__(self) -> None:
-        super().__init__("series quotient not a power series")
 
 
 # -- AST -----------------------------------------------------------------
@@ -355,22 +349,10 @@ def _eval_at(node: object, order: int) -> TruncatedSeries:
         return left - right
     if node.op == "mul":
         return left * right
-    return _divide(left, right)
-
-
-def _divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    v = den.valuation()
-    if v is None:
-        raise _AllZeroDenominator()
-    if v == 0:
-        return num.div_unit(den)
-    num_v = num.valuation()
-    if num_v is None:
-        # Zero numerator: the quotient is zero at the shifted order.
-        return constant_series(Fraction(0), num.order - v)
-    if num_v < v:
-        raise EvalError("series quotient not a power series")
-    return num.div_valuation(den, v)
+    try:
+        return left / right
+    except ValueError as err:
+        raise EvalError(str(err)) from None
 
 
 def eval_expr(node: object, order: int) -> TruncatedSeries:
@@ -392,7 +374,7 @@ def eval_expr(node: object, order: int) -> TruncatedSeries:
     for _ in range(5):
         try:
             result = _eval_at(node, work)
-        except _AllZeroDenominator:
+        except ZeroDivisionError:
             if escalated:
                 raise EvalError("series quotient not a power series") from None
             escalated = True

@@ -55,7 +55,7 @@ def _gf_values(n_max: int, k: int) -> TruncatedSeries:
     """Li_k(1 - e^(-t)) / log(1+t) at order n_max: the x-free part of the gf,
     kept for the ``MAX_CACHED_K`` latest (n_max, k)."""
     order = n_max + 1
-    return TruncatedSeries.from_egf(*_s2_sum(order, k)).div_valuation(log1p_series(order), 1)
+    return TruncatedSeries.from_egf(*_s2_sum(order, k)) / log1p_series(order)
 
 
 def poly_b2nd_values(

@@ -426,7 +426,7 @@ def _check_eq2(n_max, ks, xs):
     # through the polylog. Its series quotient shares no code with the
     # Stirling sum behind bernoulli2nd_poly, so it checks that too.
     order = n_max + 1
-    quotient = t_series(order).div_valuation(log1p_series(order), 1)
+    quotient = t_series(order) / log1p_series(order)
     values = _values_at_0_to_n([quotient.egf_coefficient(n) for n in range(n_max + 1)])
     for n, (rhs, lhs) in enumerate(values):
         yield (n, "x"), lhs, rhs

@@ -78,12 +78,6 @@ class TruncatedSeries:
         self._egf, self.order = _lowest(nums, den), len(nums) - 1
         return self
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[object], order: int) -> "TruncatedSeries":
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient count must equal order+1")
-        return cls(tuple(coeffs))
-
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The raw coefficients c_0..c_N."""
@@ -187,35 +181,34 @@ class TruncatedSeries:
 
     def div_unit(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient by a series with invertible constant term, by forward
-        substitution on the egf coefficients (``_quotient_term``)."""
+        substitution on the egf coefficients (``_quotient_term``): the kernel
+        of ``/``."""
         if not isinstance(den, TruncatedSeries):
             raise TypeError("denominator must be a TruncatedSeries")
         self._check_compatible(den)
         (a, la), (b, lb) = self._egf, den._egf
         if b[0] == 0:
-            raise ValueError("denominator not a unit; use div_valuation")
+            raise ValueError("denominator not a unit; use /")
         q: Row = ((), 1)
         for a_m, row in zip(a, _pascal_rows(0)):
             q = appended(q, [_quotient_term(a_m, la, q, b, lb, row)])
         return TruncatedSeries.from_egf(*q)
 
-    def div_valuation(self, den: "TruncatedSeries", v: int) -> "TruncatedSeries":
-        """Quotient of two series with c_0 = ... = c_(v-1) = 0, the
-        denominator's c_v nonzero; the result has order ``self.order - v``."""
+    def __truediv__(self, den: object) -> "TruncatedSeries":
+        """The quotient self / den, den = t^v u with u_0 nonzero: ``div_unit``
+        at v = 0, else both operands divided by t^v first, and the quotient has
+        order N - v. ``ZeroDivisionError`` if den has no nonzero coefficient,
+        ``ValueError`` if self has one below index v."""
         if not isinstance(den, TruncatedSeries):
-            raise TypeError("denominator must be a TruncatedSeries")
+            return NotImplemented
         self._check_compatible(den)
-        if v < 0:
-            raise ValueError("valuation must be non-negative")
-        if v > self.order:
-            raise ValueError(f"valuation {v} exceeds series order {self.order}")
-        b = den._egf[0]
-        for i in range(v):
-            for name, c in (("numerator", self._egf[0][i]), ("denominator", b[i])):
-                if c:
-                    raise ValueError(f"{name} has nonzero coefficient at index {i}, expected valuation {v}")
-        if b[v] == 0:
-            raise ValueError(f"denominator coefficient at index {v} is zero; not a unit after shift")
+        v = den.valuation()
+        if v is None:
+            raise ZeroDivisionError("series division by zero")
+        if v == 0:
+            return self.div_unit(den)
+        if any(self._egf[0][:v]):
+            raise ValueError("series quotient not a power series")
         # Egf coefficient n of s / t^v is s_(n+v) n! / (n+v)!; both operands
         # are also scaled by lcm((n+v)!/n!), which cancels in the quotient.
         rising = [math.perm(n + v, v) for n in range(self.order + 1 - v)]
@@ -294,7 +287,7 @@ class TruncatedSeries:
         """log(1 + self) for zero constant term: theta^-1(theta(self) / (1 + self))."""
         self._require_no_constant_term()
         one = constant_series(Fraction(1), self.order)
-        return self.theta().div_unit(one + self).theta_inverse()
+        return (self.theta() / (one + self)).theta_inverse()
 
     # -- coefficient access ---------------------------------------------
 
@@ -388,12 +381,14 @@ def pow1p_nums(series: TruncatedSeries, x: object, basis: Sequence[int] | None =
     return [sum(map(mul, map(mul, row, basis), scaled[n::-1])) for n, row in rows]
 
 
-def pow1p_row(series: TruncatedSeries, x: object) -> tuple[Fraction, ...]:
+def pow1p_row(
+    series: TruncatedSeries, x: object, basis: Sequence[int] | None = None
+) -> tuple[Fraction, ...]:
     """The egf coefficients of series * (1+t)^x at a rational x, reduced:
-    ``pow1p_nums`` over L c^n."""
+    ``pow1p_nums`` over L c^n, with its ``basis``."""
     x = exact(x)
     den, c = series._egf[1], x.denominator
-    return tuple(Fraction(b, den * c**n) for n, b in enumerate(pow1p_nums(series, x)))
+    return tuple(Fraction(b, den * c**n) for n, b in enumerate(pow1p_nums(series, x, basis)))
 
 
 # -- the polylog ---------------------------------------------------------
@@ -439,14 +434,13 @@ def polylog_series(k: int, inner: TruncatedSeries) -> TruncatedSeries:
     per_term = HORNER_PER_TERM_POS_K if k > 0 else HORNER_PER_TERM_NEG_K
     if abs(k) >= per_term * inner._nonzero_terms():
         weights = [Fraction(0)] + [Fraction(m) ** (-k) for m in range(1, n + 1)]
-        return TruncatedSeries.from_coeffs(weights, n).compose(inner)
+        return TruncatedSeries(weights).compose(inner)
     inner._require_no_constant_term()
-    v = inner.valuation()
-    nums, den = inner.theta().div_valuation(inner, v)._egf
-    d = TruncatedSeries.from_egf(nums + (0,) * v, den)
-    li = inner.div_unit(constant_series(Fraction(1), n) - inner)
+    nums, den = (inner.theta() / inner)._egf
+    d = TruncatedSeries.from_egf(nums + (0,) * (n + 1 - len(nums)), den)
+    li = inner / (constant_series(Fraction(1), n) - inner)
     for _ in range(k):
         li = (li * d).theta_inverse()
     for _ in range(-k):
-        li = li.theta().div_unit(d)
+        li = li.theta() / d
     return li

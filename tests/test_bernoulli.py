@@ -262,7 +262,7 @@ def test_second_kind_polynomials_match_generating_function():
     # t/log(1+t) * (1+t)^x at x = 0..n: two polynomials of degree n that
     # agree at n + 1 points are equal.
     n_max = 25
-    quotient = t_series(n_max + 1).div_valuation(log1p_series(n_max + 1), 1)
+    quotient = t_series(n_max + 1) / log1p_series(n_max + 1)
     rows = [pow1p_series(F(i), n_max) * quotient for i in range(n_max + 1)]
     for n in range(n_max + 1):
         values = [row.egf_coefficient(n) for row in rows[: n + 1]]
@@ -311,6 +311,13 @@ def test_second_kind_values_match_the_polynomials():
 def test_float_point_is_rejected(call):
     with pytest.raises(TypeError, match="not float"):
         call()
+
+
+@pytest.mark.parametrize("values", [bernoulli_values, bernoulli2nd_values])
+@pytest.mark.parametrize("x, kind", [(X, "Polynomial"), (0.5, "float")])
+def test_rational_tables_name_the_point_types_they_take(values, x, kind):
+    with pytest.raises(TypeError, match=f"^a point must be an int or Fraction, not {kind}$"):
+        values(3, x)
 
 
 def test_second_kind_polynomials_at_zero():

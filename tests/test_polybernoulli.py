@@ -109,6 +109,14 @@ def test_polylog_checks_k_before_any_work(monkeypatch):
             polylog_series(k, t_series(1))
     with pytest.raises(TypeError, match="k must be an int, not float"):
         polylog_series(2.0, t_series(1))
+    # A bool is an int to isinstance, but not a polylog order.
+    for call in (
+        lambda: polylog_series(True, t_series(1)),
+        lambda: poly_b2nd_values(3, True),
+        lambda: verify_identity("thm2", 1, ks=[True]),
+    ):
+        with pytest.raises(TypeError, match="k must be an int, not bool"):
+            call()
 
 
 def test_the_route_counts_terms_in_the_reading_the_series_holds():
@@ -136,18 +144,15 @@ def inner_series(draw):
     return TruncatedSeries((F(0),) * v + (lead,) + tuple(rest))
 
 
-@given(inner_series(), st.integers(min_value=-5, max_value=5))
-def test_polylog_ode_matches_horner_composition(inner, k):
-    n = inner.order
-    weights = [F(0)] + [F(m) ** -k for m in range(1, n + 1)]
-    horner = TruncatedSeries.from_coeffs(weights, n).compose(inner)
-    assert polylog_series(k, inner) == horner
-
-
 def horner_polylog(k, inner):
     n = inner.order
     weights = [F(0)] + [F(m) ** -k for m in range(1, n + 1)]
-    return TruncatedSeries.from_coeffs(weights, n).compose(inner)
+    return TruncatedSeries(weights).compose(inner)
+
+
+@given(inner_series(), st.integers(min_value=-5, max_value=5))
+def test_polylog_ode_matches_horner_composition(inner, k):
+    assert polylog_series(k, inner) == horner_polylog(k, inner)
 
 
 @settings(max_examples=30)
@@ -413,8 +418,10 @@ def rising_pow1p_row(series_, x):
     return tuple(math.factorial(n) * c for n, c in enumerate(product))
 
 
-def rising_pow1p_nums(series_, x):
-    """``rising_pow1p_row`` over the denominators of ``pow1p_nums``."""
+def rising_pow1p_nums(series_, x, basis=None):
+    """``rising_pow1p_row`` over the denominators of ``pow1p_nums``: a wrong
+    (1+t)^x shift, so no ``basis`` row."""
+    assert basis is None
     x = F(x)
     den, c = series_._egf[1], x.denominator
     return [int(v * den * c**n) for n, v in enumerate(rising_pow1p_row(series_, x))]

@@ -30,28 +30,31 @@ def one(order):
 
 
 def t_over_log1p(order):
-    return t_series(order + 1).div_valuation(log1p_series(order + 1), 1)
+    return t_series(order + 1) / log1p_series(order + 1)
 
 
 # -- constructors ---------------------------------------------------------
 
 
-def test_from_coeffs_examples():
-    s = TruncatedSeries.from_coeffs([1, 0, 0], 2)
+def test_constructor_examples():
+    s = TruncatedSeries([1, 0, 0])
     assert s.coeffs == (F(1), F(0), F(0)) and s.order == 2
-    assert TruncatedSeries.from_coeffs([0, 1], 1).coeffs == (F(0), F(1))
+    assert TruncatedSeries([0, 1]).coeffs == (F(0), F(1))
 
     # First Gregory coefficients, via the independent unit-division route:
     # divide 1 by log(1+t)/t instead of t by log(1+t).
     log1p_over_t = TruncatedSeries(log1p_series(3).coeffs[1:])
-    oracle = one(2).div_unit(log1p_over_t)
-    frozen = TruncatedSeries.from_coeffs([F(1), F(1, 2), F(-1, 12)], 2)
+    oracle = one(2) / log1p_over_t
+    frozen = TruncatedSeries([F(1), F(1, 2), F(-1, 12)])
     assert oracle == frozen
 
 
-def test_from_coeffs_length_mismatch():
-    with pytest.raises(ValueError, match="coefficient count must equal order"):
-        TruncatedSeries.from_coeffs([1, 2], 2)
+def test_division_by_a_zero_series_raises_zero_division():
+    for order in (0, 2):
+        with pytest.raises(ZeroDivisionError, match="series division by zero"):
+            one(order) / constant_series(F(0), order)
+        with pytest.raises(ZeroDivisionError):
+            constant_series(F(0), order) / constant_series(F(0), order)
 
 
 def test_add_examples():
@@ -68,7 +71,7 @@ def test_mul_examples():
     assert s * one(2) == s
     # Inverse pair: (t/log(1+t)) * (log(1+t)/t) == 1 through t^6.
     a = t_over_log1p(6)
-    b = log1p_series(7).div_valuation(t_series(7), 1)
+    b = log1p_series(7) / t_series(7)
     assert a * b == one(6)
 
 
@@ -86,37 +89,43 @@ def test_div_unit_examples():
 
 
 def test_div_unit_rejects_non_unit():
-    with pytest.raises(ValueError, match="not a unit; use div_valuation"):
+    with pytest.raises(ValueError, match="not a unit; use /"):
         t_series(2).div_unit(t_series(2))
 
 
 def test_div_valuation_examples():
-    q = t_series(4).div_valuation(t_series(4), 1)
+    # / shifts out the denominator's valuation and drops as many orders.
+    q = t_series(4) / t_series(4)
     assert q == one(3)
+    assert series(0, 0, 1, 0) / series(0, 1, 1, 0) == series(0, 1, -1)
+    assert constant_series(F(0), 4) / t_series(4) ** 3 == constant_series(F(0), 1)
+    assert t_series(3) ** 3 / t_series(3) ** 3 == one(0)
 
     # Li_1(1 - e^(-t)) is exactly t, so this is t/log(1+t) again.
     from polybern.polybernoulli import polylog_series
 
     inner = TruncatedSeries(tuple(one_minus_exp_neg_coeffs(4)))
     li1 = polylog_series(1, inner)
-    q1 = li1.div_valuation(log1p_series(4), 1)
+    q1 = li1 / log1p_series(4)
     assert list(q1.coeffs) == [F(1), F(1, 2), F(-1, 12), F(1, 24)]
 
     inner3 = TruncatedSeries(tuple(one_minus_exp_neg_coeffs(3)))
-    q2 = polylog_series(2, inner3).div_valuation(log1p_series(3), 1)
+    q2 = polylog_series(2, inner3) / log1p_series(3)
     assert list(q2.coeffs) == [F(1), F(1, 4), F(-13, 72)]
     assert q2.order == 2
 
 
-def test_div_valuation_errors_name_offending_index():
-    with pytest.raises(ValueError, match="numerator has nonzero coefficient at index 0"):
-        one(3).div_valuation(t_series(3), 1)
-    with pytest.raises(ValueError, match="denominator has nonzero coefficient at index 1"):
-        series(0, 0, 1, 0).div_valuation(series(0, 1, 1, 0), 2)
-    with pytest.raises(ValueError, match="index 1 is zero"):
-        t_series(3).div_valuation(series(0, 0, 1, 0), 1)
-    with pytest.raises(ValueError, match="exceeds series order"):
-        t_series(2).div_valuation(t_series(2), 5)
+def test_a_numerator_nonzero_below_the_valuation_is_not_a_power_series():
+    with pytest.raises(ValueError, match="series quotient not a power series"):
+        one(3) / t_series(3)
+    with pytest.raises(ValueError, match="series quotient not a power series"):
+        t_series(3) / series(0, 0, 1, 0)
+    with pytest.raises(ValueError, match="series quotient not a power series"):
+        series(0, 0, 1, 5) / series(0, 0, 0, 1)
+    with pytest.raises(ValueError, match="order mismatch"):
+        t_series(2) / t_series(3)
+    with pytest.raises(TypeError):
+        t_series(2) / 2
 
 
 def test_compose_examples():
@@ -129,7 +138,7 @@ def test_compose_examples():
 
     # Brute force: sum_m inner^m / m^2, accumulated with naive list products.
     inner = one_minus_exp_neg_coeffs(3)
-    outer = TruncatedSeries.from_coeffs([F(0), F(1), F(1, 4), F(1, 9)], 3)
+    outer = TruncatedSeries([F(0), F(1), F(1, 4), F(1, 9)])
     composed = outer.compose(TruncatedSeries(tuple(inner)))
     brute = [F(0)] * 4
     power = list(inner)
@@ -475,19 +484,23 @@ def test_kernel_div_unit_matches_forward_substitution(pair):
 
 
 @given(
-    st.integers(1, 3).flatmap(
-        lambda v: st.integers(v, 16).flatmap(
-            lambda n: st.tuples(
-                st.just(v), kernel_series(n, valuation=v), kernel_series(n, units, valuation=v)
-            )
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda vs: st.integers(max(vs), 16).flatmap(
+            lambda n: st.tuples(kernel_series(n, valuation=vs[0]), kernel_series(n, units, valuation=vs[1]))
         )
     )
 )
 def test_kernel_div_valuation_matches_forward_substitution(case):
-    v, num, den = case
-    order = len(num) - 1 - v
-    q = TruncatedSeries(num).div_valuation(TruncatedSeries(den), v)
-    assert list(q.coeffs) == naive_div(num[v:], den[v:], order)
+    # Both valuations run over 0..3, so the numerator's may fall below the
+    # denominator's v, and / must then refuse the quotient.
+    num, den = case
+    v = next(i for i, c in enumerate(den) if c)
+    if any(num[:v]):
+        with pytest.raises(ValueError, match="series quotient not a power series"):
+            TruncatedSeries(num) / TruncatedSeries(den)
+        return
+    q = TruncatedSeries(num) / TruncatedSeries(den)
+    assert list(q.coeffs) == naive_div(num[v:], den[v:], len(num) - 1 - v)
 
 
 valuations = st.integers(min_value=1, max_value=3)

@@ -61,3 +61,31 @@ def test_eval_calls_the_polylog_object_the_tracer_wraps():
         importlib.import_module(f"polybern.{name}") for name in ("expr", "series", "polybernoulli")
     )
     assert expr.polylog_series is series.polylog_series is polybernoulli.polylog_series
+
+
+def test_every_series_quotient_reaches_the_traced_division_kernel(monkeypatch):
+    # The tracer times ``TruncatedSeries.div_unit`` as its ``series.div``
+    # layer. ``/`` calls it as a method, so a quotient taken anywhere in the
+    # package shows there.
+    gf, series, polybernoulli, expr = (
+        importlib.import_module(f"polybern.{name}") for name in ("gf", "series", "polybernoulli", "expr")
+    )
+    kernel, calls = series.TruncatedSeries.div_unit, []
+
+    def counted(self, den):
+        calls.append(den.order)
+        return kernel(self, den)
+
+    monkeypatch.setattr(series.TruncatedSeries, "div_unit", counted)
+    t = series.t_series(6)
+    quotients = {
+        "gf": lambda: gf._gf_values.__wrapped__(6, 2),
+        "eq2": lambda: polybernoulli.verify_identity("eq2", 3),
+        "negative-k polylog": lambda: series.polylog_series(-2, t + t**3),
+        "log1p": lambda: t.log1p(),
+        "eval": lambda: expr.eval_expr(expr.parse_expr("t/(t + t^2)"), 4),
+    }
+    for name, quotient in quotients.items():
+        before = len(calls)
+        quotient()
+        assert len(calls) > before, name
