@@ -7,7 +7,8 @@ Commands
 
 Exit codes: 0 success/pass, 1 verification or evaluation failure, 2 usage
 error. All values are printed as exact rationals ("p/q" or an integer),
-never as floats.
+never as floats, and in full, past CPython's int/str digit limit
+(``_unlimited_int_digits``).
 
 Each command imports the modules it runs when it runs, so ``--help`` and a
 table of Bernoulli numbers never load the polylog or the expression parser.
@@ -51,8 +52,10 @@ def _check_cap(parser: argparse.ArgumentParser, flag: str, value: int, cap: int)
 
 @contextmanager
 def _unlimited_int_digits():
-    """Lift CPython's int/str digit limit while exact results are turned into
-    text; input literals are parsed outside it and stay bounded."""
+    """Lift CPython's int/str digit limit while a command runs, so that exact
+    results of any size print. ``main`` enters it once, around the command;
+    every literal read from the command line is capped at
+    ``caps.MAX_LITERAL_DIGITS`` digits before it is converted."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         yield
@@ -192,74 +195,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_STIRLING = ("stirling1", "stirling2")
+
+#: The flags that only some kinds take, in the order ``table`` checks them
+#: and prints them in ``params``: each flag's dest, the kinds that take it,
+#: and the usage error for any other kind.
+_TABLE_FLAGS = (
+    ("k", ("poly2nd",), "-k applies to --kind poly2nd only"),
+    ("l", _STIRLING, "--l applies to stirling kinds only"),
+    ("convention", ("bernoulli2nd",), "--convention applies to --kind bernoulli2nd only"),
+    ("x", ("bernoulli", "bernoulli2nd", "poly2nd", "higher-order"), "--x does not apply to stirling kinds"),
+)
+
+
 def _table_values(args, parser: argparse.ArgumentParser):
-    kind = args.kind
-    n_max = args.n_max
-    params: dict[str, str] = {}
+    """The JSON ``params`` and the values of one table. The flags given are
+    checked against ``_TABLE_FLAGS`` first, then the point, then what the
+    kind requires."""
+    kind, n_max = args.kind, args.n_max
+    for flag, kinds, error in _TABLE_FLAGS:
+        if getattr(args, flag) is not None and kind not in kinds:
+            parser.error(error)
+    try:
+        x = None if args.x is None else _parse_rational(args.x)
+        if kind == "poly2nd":
+            if args.k is None:
+                parser.error("--kind poly2nd requires -k")
+            from .caps import check_k
 
-    if args.k is not None and kind != "poly2nd":
-        parser.error("-k applies to --kind poly2nd only")
-    if args.l is not None and kind not in ("stirling1", "stirling2"):
-        parser.error("--l applies to stirling kinds only")
-    if args.convention is not None and kind != "bernoulli2nd":
-        parser.error("--convention applies to --kind bernoulli2nd only")
-    if args.x is not None and kind in ("stirling1", "stirling2"):
-        parser.error("--x does not apply to stirling kinds")
-
-    x = None
-    if args.x is not None:
-        try:
-            x = _parse_rational(args.x)
-        except ValueError as exc:
-            parser.error(str(exc))
+            check_k(args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if kind in _STIRLING and args.l is None:
+        parser.error(f"--kind {kind} requires --l (triangle column)")
+    if x is None and kind in ("poly2nd", "higher-order"):
+        x = Fraction(0)  # these two kinds are always read at a point
+    convention = (args.convention or "egf") if kind == "bernoulli2nd" else None
+    given = {"k": args.k, "l": args.l, "convention": convention, "x": x}
+    params = {flag: str(given[flag]) for flag, _, _ in _TABLE_FLAGS if given[flag] is not None}
 
     if kind == "poly2nd":
-        if args.k is None:
-            parser.error("--kind poly2nd requires -k")
-        from .caps import check_k
-
-        try:
-            check_k(args.k)
-        except ValueError as exc:
-            parser.error(str(exc))
-        params["k"] = str(args.k)
-        point = x if x is not None else Fraction(0)
-        params["x"] = str(point)
         from .gf import poly_b2nd_values
 
-        return params, poly_b2nd_values(n_max, args.k, point)
-    if kind in ("stirling1", "stirling2"):
-        if args.l is None:
-            parser.error(f"--kind {kind} requires --l (triangle column)")
+        return params, poly_b2nd_values(n_max, args.k, x)
+    if kind in _STIRLING:
         from .combinatorics import stirling1, stirling2
 
-        params["l"] = str(args.l)
         fn = stirling1 if kind == "stirling1" else stirling2
         return params, [fn(n, args.l) for n in range(n_max + 1)]
 
     from . import bernoulli
 
     if kind == "bernoulli":
-        if x is None:
-            values = bernoulli.bernoulli_numbers(n_max)
-        else:
-            params["x"] = str(x)
-            values = bernoulli.bernoulli_values(n_max, x)
+        values = bernoulli.bernoulli_numbers(n_max) if x is None else bernoulli.bernoulli_values(n_max, x)
     elif kind == "bernoulli2nd":
-        convention = args.convention or "egf"
-        params["convention"] = convention
-        if x is not None:
-            params["x"] = str(x)
-            values = bernoulli.bernoulli2nd_values(n_max, x)
-        else:
-            values = bernoulli.bernoulli2nd_numbers(n_max)
+        values = bernoulli.bernoulli2nd_numbers(n_max) if x is None else bernoulli.bernoulli2nd_values(n_max, x)
         if convention == "ogf":
             values = [v / math.factorial(n) for n, v in enumerate(values)]
     else:  # higher-order: B_n^(n)(x) = b_n(x - 1) (Norlund)
-        point = x if x is not None else Fraction(0)
-        params["x"] = str(point)
-        values = bernoulli.bernoulli2nd_values(n_max, point - 1)
-
+        values = bernoulli.bernoulli2nd_values(n_max, x - 1)
     return params, values
 
 
@@ -268,8 +262,7 @@ def cmd_table(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n-max must be >= 0")
     _check_cap(parser, "--n-max", args.n_max, MAX_TABLE_N)
     params, values = _table_values(args, parser)
-    with _unlimited_int_digits():
-        entries = [(n, str(v)) for n, v in enumerate(values)]
+    entries = [(n, str(v)) for n, v in enumerate(values)]
     if args.format == "csv":
         print("\n".join(["n,value", *(f"{n},{value}" for n, value in entries)]))
     else:
@@ -328,12 +321,11 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
     from .polybernoulli import verify_identity
 
-    with _unlimited_int_digits():  # the report holds the values as strings
-        try:
-            report = verify_identity(args.identity, args.n_max, ks, xs)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(_report_text(report) if args.format == "text" else _report_json(report))
+    try:
+        report = verify_identity(args.identity, args.n_max, ks, xs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(_report_text(report) if args.format == "text" else _report_json(report))
     return 0 if report.passed else 1
 
 
@@ -348,10 +340,9 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with _unlimited_int_digits():
-        for n, c in enumerate(series.coeffs):
-            value = math.factorial(n) * c if args.egf else c
-            print(f"{n}: {value}")
+    for n, c in enumerate(series.coeffs):
+        value = math.factorial(n) * c if args.egf else c
+        print(f"{n}: {value}")
     return 0
 
 
@@ -360,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_value_flags(argv))
-        code = args.func(args, args.parser)
+        with _unlimited_int_digits():
+            code = args.func(args, args.parser)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -357,7 +357,7 @@ def pow1p_series(x: object, order: int) -> TruncatedSeries:
     """(1+t)^x for a rational x: egf coefficients the falling factorials (x)_j,
     which vanish past index x at an integer x >= 0."""
     _check_order(order)
-    x = exact(x)
+    x = exact(x, "a point must be an int or Fraction")
     return _over_powers(_falling(x.numerator, x.denominator, order), x.denominator, order)
 
 
@@ -370,7 +370,7 @@ def pow1p_nums(series: TruncatedSeries, x: object, basis: Sequence[int] | None =
     A ``basis`` row u_j replaces (x)_j c^j: the series times the egf u_j / c^j,
     so a^j = x^j c^j gives series * e^(x t).
     """
-    x = exact(x)
+    x = exact(x, "a point must be an int or Fraction")
     c = x.denominator
     nums = series._egf[0]
     if basis is None:
@@ -386,7 +386,7 @@ def pow1p_row(
 ) -> tuple[Fraction, ...]:
     """The egf coefficients of series * (1+t)^x at a rational x, reduced:
     ``pow1p_nums`` over L c^n, with its ``basis``."""
-    x = exact(x)
+    x = exact(x, "a point must be an int or Fraction")
     den, c = series._egf[1], x.denominator
     return tuple(Fraction(b, den * c**n) for n, b in enumerate(pow1p_nums(series, x, basis)))
 

@@ -27,6 +27,7 @@ from polybern.series import (
     constant_series,
     exp_series,
     log1p_series,
+    pow1p_nums,
     pow1p_row,
     pow1p_series,
     t_series,
@@ -313,7 +314,17 @@ def test_float_point_is_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("values", [bernoulli_values, bernoulli2nd_values])
+@pytest.mark.parametrize(
+    "values",
+    [
+        bernoulli_values,
+        bernoulli2nd_values,
+        # the series x-shift behind both
+        pytest.param(lambda n, x: pow1p_series(x, n), id="pow1p_series"),
+        pytest.param(lambda n, x: pow1p_row(t_series(n), x), id="pow1p_row"),
+        pytest.param(lambda n, x: pow1p_nums(t_series(n), x), id="pow1p_nums"),
+    ],
+)
 @pytest.mark.parametrize("x, kind", [(X, "Polynomial"), (0.5, "float")])
 def test_rational_tables_name_the_point_types_they_take(values, x, kind):
     with pytest.raises(TypeError, match=f"^a point must be an int or Fraction, not {kind}$"):

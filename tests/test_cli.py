@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import json
 import subprocess
 import sys
@@ -189,6 +190,52 @@ def test_table_flag_validation(capsys):
         code, _, err = run_cli(capsys, *args)
         assert code == 2, args
         assert err, args
+
+
+TABLE_KINDS = ("bernoulli", "bernoulli2nd", "poly2nd", "stirling1", "stirling2", "higher-order")
+STIRLING = ("stirling1", "stirling2")
+#: Each kind's required flag, as the usage-error cases give it by default.
+TABLE_REQUIRED = {"poly2nd": ("-k", "3"), "stirling1": ("--l", "1"), "stirling2": ("--l", "1")}
+#: The table usage errors in the order table checks them: the kinds that can
+#: have the fault, the flag and value that make it (None drops the kind's
+#: required flag) and its error.
+TABLE_FAULTS = [
+    ([k for k in TABLE_KINDS if k != "poly2nd"], "-k", "3", "-k applies to --kind poly2nd only"),
+    ([k for k in TABLE_KINDS if k not in STIRLING], "--l", "1", "--l applies to stirling kinds only"),
+    ([k for k in TABLE_KINDS if k != "bernoulli2nd"], "--convention", "ogf", "--convention applies to --kind bernoulli2nd only"),
+    (STIRLING, "--x", "2/3", "--x does not apply to stirling kinds"),
+    ([k for k in TABLE_KINDS if k not in STIRLING], "--x", "abc", "not a rational literal: 'abc'"),
+    (["poly2nd"], "-k", None, "--kind poly2nd requires -k"),
+    (["poly2nd"], "-k", "20001", "|k| must be at most 20000, not 20001"),
+    (STIRLING, "--l", None, "--kind {kind} requires --l (triangle column)"),
+]
+
+
+def table_usage_cases():
+    """Each kind with one or two of the faults it can have, never two on one
+    flag, and the error of the first of them."""
+    cases = []
+    for kind in TABLE_KINDS:
+        faults = [fault for fault in TABLE_FAULTS if kind in fault[0]]
+        for combo in [*itertools.combinations(faults, 1), *itertools.combinations(faults, 2)]:
+            if len({flag for _, flag, _, _ in combo}) < len(combo):
+                continue
+            flags = dict([TABLE_REQUIRED[kind]]) if kind in TABLE_REQUIRED else {}
+            flags.update((flag, value) for _, flag, value, _ in combo)
+            argv = ["table", "--kind", kind, "-n", "3"]
+            argv += [part for flag, value in flags.items() if value is not None for part in (flag, value)]
+            names = [f"{flag} {value}" if value else f"no {flag}" for _, flag, value, _ in combo]
+            cases.append(pytest.param(argv, combo[0][3].format(kind=kind), id=" + ".join([kind, *names])))
+    return cases
+
+
+@pytest.mark.parametrize("argv, error", table_usage_cases())
+def test_table_reports_the_first_usage_error_in_a_fixed_order(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: polybern table ")
+    assert [line for line in lines if "error:" in line] == [f"polybern table: error: {error}"]
 
 
 # -- verify -------------------------------------------------------------------
