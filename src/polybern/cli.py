@@ -69,7 +69,11 @@ def _unlimited_int_digits():
 
 
 def _check_digits(text: str) -> None:
-    """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal."""
+    """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal.
+
+    Every literal read from the command line must pass this before it is
+    converted: ``main`` lifts CPython's own int/str limit for the whole
+    command, so nothing else bounds the conversion."""
     from .caps import MAX_LITERAL_DIGITS
 
     if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", text)):
@@ -89,6 +93,7 @@ def _int_flag(text: str) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """A rational literal, digit-capped (``_check_digits``) before conversion."""
     if not _RATIONAL_RE.fullmatch(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
     _check_digits(text)
@@ -106,6 +111,7 @@ def _parse_point(text: str):
 
 
 def _parse_k_range(text: str) -> list[int]:
+    """An integer or a..b range, digit-capped (``_check_digits``) before conversion."""
     text = text.strip()
     m = _K_RANGE_RE.fullmatch(text)
     if not m:

@@ -84,14 +84,10 @@ _CLOSED_SUMS: dict[tuple[str, int | None], tuple[tuple[Fraction, Fraction], ...]
 def _more_closed_sums(family: str, k: int | None, prefix: tuple, hi: int) -> list[tuple[Fraction, Fraction]]:
     """(w_m, v_m) for m = len(prefix)..hi: the weights of ``family`` and
     their egf convolution v_m = sum_l C(m, l) w_l b_(m-l) with the numbers
-    ``bernoulli2nd_numbers(hi)``, that is, the coefficients of W(t) t/log(1+t).
-    A thm1 prefix grows to at least twice its length, since each call builds
-    its weights' B_0..B_hi afresh (``bernoulli_numbers`` keeps no cache)."""
+    ``bernoulli2nd_numbers(hi)``, that is, the coefficients of W(t) t/log(1+t)."""
     from .bernoulli import bernoulli2nd_numbers
 
     lo = len(prefix)
-    if family == "thm1":
-        hi = max(hi, 2 * lo)
     weights = [w for w, _ in prefix] + _weight_terms(family, k, lo, hi)
     w, w_den = common_denominator(weights)
     b, b_den = common_denominator(bernoulli2nd_numbers(hi))

@@ -264,13 +264,12 @@ _lock = threading.Lock()
 def grown(cache: dict, key: Hashable, n: int, more: Callable[[tuple, int], Iterable]) -> tuple:
     """The grow-only prefix ``cache[key]``, a tuple of at least n + 1 terms.
 
-    ``more(prefix, n)`` gives the terms after the stored prefix up to index n
-    or further. It runs outside the lock, so it may grow any cache, this one
-    included. The longer prefix is then stored whole under the one lock,
-    unless a longer one was stored meanwhile, and the cache keeps its
-    ``MAX_CACHED_K`` latest keys. A stored prefix never changes, so readers
-    take no lock, and an interrupted ``more`` stores nothing, so no cache
-    holds a half-built prefix.
+    ``more(prefix, n)`` gives the terms after the stored prefix up to index n.
+    It runs outside the lock, so it may grow any cache, this one included.
+    The longer prefix is then stored whole under the one lock, unless a longer
+    one was stored meanwhile, and the cache keeps its ``MAX_CACHED_K`` latest
+    keys. A stored prefix never changes, so readers take no lock, and an
+    interrupted ``more`` stores nothing, so no cache holds a half-built prefix.
     """
     prefix = cache.get(key, ())
     if len(prefix) > n:

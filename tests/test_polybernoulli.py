@@ -604,29 +604,6 @@ def test_a_library_loop_over_n_builds_each_x_free_sum_once(monkeypatch):
     assert sorted(built) == [(family, 3, m) for family in ("thm2", "thm3") for m in range(41)]
 
 
-def test_a_thm1_loop_over_n_builds_the_bernoulli_numbers_a_few_times(monkeypatch):
-    # bernoulli_numbers keeps no cache, so each growth of the thm1 prefix
-    # builds B_0..B_hi afresh; the prefix doubles, but a first build stops
-    # at n.
-    x = F(1, 3)
-    expected = list(poly_b2nd_values(64, 2, x))
-    his = []
-    original = bernoulli.bernoulli_numbers
-
-    def counted(n_max):
-        his.append(n_max)
-        return original(n_max)
-
-    monkeypatch.setattr(bernoulli, "bernoulli_numbers", counted)
-    monkeypatch.setattr(polybernoulli, "_CLOSED_SUMS", {})
-    assert [poly_b2nd_theorem1(n, x) for n in range(65)] == expected
-    assert his == [0, 2, 6, 14, 30, 62, 126]
-    monkeypatch.setattr(polybernoulli, "_CLOSED_SUMS", {})
-    his.clear()
-    assert poly_b2nd_theorem1(40, x) == expected[40]
-    assert his == [40]
-
-
 def test_the_caches_keep_the_latest_k_only(monkeypatch):
     bound = polybernoulli.MAX_CACHED_K
     names = ("thm2", "thm3", "thm4")
