@@ -8,7 +8,9 @@ Commands
 Exit codes: 0 success/pass, 1 verification or evaluation failure, 2 usage
 error. All values are printed as exact rationals ("p/q" or an integer),
 never as floats, and in full, past CPython's int/str digit limit
-(``_unlimited_int_digits``).
+(``_unlimited_int_digits``). Every literal read from the command line goes
+through one reader, ``_literal``, which caps its integers at
+``caps.MAX_LITERAL_DIGITS`` digits before they are converted.
 
 Each command imports the modules it runs when it runs, so ``--help`` and a
 table of Bernoulli numbers never load the polylog or the expression parser.
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
 
 # ASCII digits only, as in expr: "\d" would match any Unicode digit.
 _INT = "-?[0-9]+"
+_INT_RE = re.compile(_INT)
 _RATIONAL_RE = re.compile(f"{_INT}(/[1-9][0-9]*)?")
 _K_RANGE_RE = re.compile(rf"({_INT})(?:\.\.({_INT}))?")
 
@@ -45,7 +48,11 @@ MAX_VERIFY_N = 50
 MAX_ORDER = 1000
 
 
-def _check_cap(parser: argparse.ArgumentParser, flag: str, value: int, cap: int) -> None:
+def _check_size(parser: argparse.ArgumentParser, flag: str, value: int, cap: int) -> None:
+    """The one rule of the size flags ``table -n``, ``verify --n-max`` and
+    ``eval --order``: at least 0 and at most ``cap``."""
+    if value < 0:
+        parser.error(f"{flag} must be >= 0")
     if value > cap:
         parser.error(f"{flag} must be at most {cap}, not {value}")
 
@@ -54,8 +61,8 @@ def _check_cap(parser: argparse.ArgumentParser, flag: str, value: int, cap: int)
 def _unlimited_int_digits():
     """Lift CPython's int/str digit limit while a command runs, so that exact
     results of any size print. ``main`` enters it once, around the command;
-    every literal read from the command line is capped at
-    ``caps.MAX_LITERAL_DIGITS`` digits before it is converted."""
+    the command-line literals stay bounded because ``_literal`` caps them
+    before they are converted."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         yield
@@ -68,36 +75,36 @@ def _unlimited_int_digits():
         set_limit(old)
 
 
-def _check_digits(text: str) -> None:
-    """At most ``MAX_LITERAL_DIGITS`` digits per integer of a matched literal.
+def _literal(pattern: re.Pattern, text: str, what: str) -> re.Match:
+    """The match of ``pattern`` on the whole of ``text``, stripped, else
+    ``ValueError("<what>: <text>")``.
 
-    Every literal read from the command line must pass this before it is
-    converted: ``main`` lifts CPython's own int/str limit for the whole
+    Every literal read from the command line passes here, and each of its
+    integers is capped at ``caps.MAX_LITERAL_DIGITS`` digits before anything
+    converts it: ``main`` lifts CPython's own int/str limit for the whole
     command, so nothing else bounds the conversion."""
     from .caps import MAX_LITERAL_DIGITS
 
-    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", text)):
+    m = pattern.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"{what}: {text!r}")
+    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall("[0-9]+", m[0])):
         raise ValueError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
+    return m
 
 
 def _int_flag(text: str) -> int:
-    """The ``type`` of every integer flag: the literal rule of ``--x`` and
-    ``--k``, with argparse's own wording for a value that is not an integer."""
+    """The ``type`` of every integer flag, with argparse's own wording for a
+    value that is not an integer."""
     try:
-        if not re.fullmatch(_INT, text.strip()):
-            raise ValueError(f"invalid int value: {text!r}")
-        _check_digits(text)
+        return int(_literal(_INT_RE, text, "invalid int value")[0])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(text)
 
 
 def _parse_rational(text: str) -> Fraction:
-    """A rational literal, digit-capped (``_check_digits``) before conversion."""
-    if not _RATIONAL_RE.fullmatch(text.strip()):
-        raise ValueError(f"not a rational literal: {text!r}")
-    _check_digits(text)
-    return Fraction(text.strip())
+    """A rational literal, ``p`` or ``p/q``."""
+    return Fraction(_literal(_RATIONAL_RE, text, "not a rational literal")[0])
 
 
 def _parse_point(text: str):
@@ -111,12 +118,9 @@ def _parse_point(text: str):
 
 
 def _parse_k_range(text: str) -> list[int]:
-    """An integer or a..b range, digit-capped (``_check_digits``) before conversion."""
+    """An integer or a..b range."""
     text = text.strip()
-    m = _K_RANGE_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"not an integer or a..b range: {text!r}")
-    _check_digits(text)
+    m = _literal(_K_RANGE_RE, text, "not an integer or a..b range")
     from .caps import check_k
 
     lo = check_k(int(m.group(1)))
@@ -129,13 +133,14 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _merge_value_flags(argv: list[str]) -> list[str]:
-    # argparse cannot tokenize values like "-3..3" after --k/--x; fold them
-    # into --k=-3..3 form before parsing. A following "--flag" is not a value.
+    # argparse cannot tokenize values like "-3..3" after --k/--x, or "-t"
+    # after --expr; fold them into --k=-3..3 form before parsing. A
+    # following "--flag" is not a value.
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--k", "--x") and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+        if tok in ("--k", "--x", "--expr") and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -264,9 +269,7 @@ def _table_values(args, parser: argparse.ArgumentParser):
 
 
 def cmd_table(args, parser: argparse.ArgumentParser) -> int:
-    if args.n_max < 0:
-        parser.error("--n-max must be >= 0")
-    _check_cap(parser, "--n-max", args.n_max, MAX_TABLE_N)
+    _check_size(parser, "--n-max", args.n_max, MAX_TABLE_N)
     params, values = _table_values(args, parser)
     entries = [(n, str(v)) for n, v in enumerate(values)]
     if args.format == "csv":
@@ -313,21 +316,14 @@ def _report_json(report: VerificationReport) -> str:
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    _check_cap(parser, "--n-max", args.n_max, MAX_VERIFY_N)
-    ks = None
-    xs = None
+    _check_size(parser, "--n-max", args.n_max, MAX_VERIFY_N)
     try:
-        if args.k is not None:
-            ks = _parse_k_range(args.k)
-        if args.x is not None:
-            xs = [_parse_point(part) for part in args.x.split(",") if part.strip()]
-            if not xs:
-                raise ValueError("--x needs at least one rational")
-    except ValueError as exc:
-        parser.error(str(exc))
-    from .polybernoulli import verify_identity
+        ks = None if args.k is None else _parse_k_range(args.k)
+        xs = None if args.x is None else [_parse_point(part) for part in args.x.split(",") if part.strip()]
+        if xs == []:
+            raise ValueError("--x needs at least one rational")
+        from .polybernoulli import verify_identity
 
-    try:
         report = verify_identity(args.identity, args.n_max, ks, xs)
     except ValueError as exc:
         parser.error(str(exc))
@@ -336,9 +332,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
-    if args.order < 0:
-        parser.error("--order must be >= 0")
-    _check_cap(parser, "--order", args.order, MAX_ORDER)
+    _check_size(parser, "--order", args.order, MAX_ORDER)
     from .expr import ParseError, eval_expr, parse_expr
 
     try:

@@ -7,8 +7,8 @@ Grammar (whitespace insignificant, columns 1-based):
     factor := atom ('^' nonneg-int)? | '-' factor
     atom   := rational-literal | 't' | '(' expr ')' | func
     func   := ('exp'|'log1p') '(' expr ')'
-            | 'Li' '(' int-literal ',' expr ')'
-            | 'pow1p' '(' rational-literal ')'
+            | 'Li' '(' '-'? int-literal ',' expr ')'
+            | 'pow1p' '(' '-'? rational-literal ')'
     rational-literal := int-literal ('/' posint-literal)?
 
 Expressions denote exact truncated series in t; there is no symbolic x here
@@ -273,16 +273,16 @@ class _Parser:
             value = Fraction(value, den)
         return value
 
-    def signed_int_literal(self, what: str) -> int:
-        negative = False
-        if self.peek().kind == "-":
+    def signed_literal(self, what: str, rational: bool = False) -> int | Fraction:
+        """An optional '-' and an integer literal, or with ``rational`` a
+        rational literal; ``what`` is the error when no literal follows."""
+        negative = self.peek().kind == "-"
+        if negative:
             self.advance()
-            negative = True
         tok = self.peek()
         if tok.kind != "int":
             raise ParseError(what, tok.column)
-        self.advance()
-        value = int(tok.text)
+        value = self.rational_literal() if rational else int(self.advance().text)
         return -value if negative else value
 
     def func(self) -> Call:
@@ -291,7 +291,7 @@ class _Parser:
         self.expect("(", "'('")
         if name == "Li":
             column = self.peek().column
-            order = self.signed_int_literal("Li order must be an integer literal")
+            order = self.signed_literal("Li order must be an integer literal")
             if abs(order) > MAX_ABS_K:
                 raise ParseError(f"Li order larger than {MAX_ABS_K} in absolute value", column)
             self.expect(",", "','")
@@ -299,16 +299,9 @@ class _Parser:
             self.expect(")", "')'")
             return self.build(Call("Li", (order, arg)), tok.column, arg)
         if name == "pow1p":
-            negative = False
-            if self.peek().kind == "-":
-                self.advance()
-                negative = True
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError("pow1p argument must be a rational literal", tok.column)
-            value = self.rational_literal()
+            value = self.signed_literal("pow1p argument must be a rational literal", rational=True)
             self.expect(")", "')'")
-            return Call("pow1p", (-value if negative else value,))
+            return Call("pow1p", (value,))
         arg = self.expr()
         self.expect(")", "')'")
         return self.build(Call(name, (arg,)), tok.column, arg)

@@ -29,10 +29,10 @@ from functools import partial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .caps import MAX_ABS_K, check_k  # MAX_ABS_K stays readable here
-from .gf import _gf_values, poly_b2nd_values  # noqa: F401 (re-exported)
-from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, grown, normalize_point  # noqa: F401 (re-exported)
-from .series import Row, log1p_series, polylog_series, pow1p_nums, t_series  # noqa: F401 (re-exported)
+from .caps import MAX_ABS_K, check_k  # noqa: F401 (MAX_ABS_K re-exported for tests)
+from .gf import _gf_values, poly_b2nd_values
+from .polynomial import MAX_CACHED_K, Polynomial, X, common_denominator, grown, normalize_point  # noqa: F401 (MAX_CACHED_K re-exported for tests)
+from .series import Row, log1p_series, polylog_series, pow1p_nums, t_series  # noqa: F401 (polylog_series re-exported for bench/trace_shim.py)
 
 # ``bernoulli`` and ``combinatorics`` are imported by the functions that use
 # them, so ``verify --identity thm4``, which runs neither, compiles neither.

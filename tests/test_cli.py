@@ -446,6 +446,13 @@ def test_eval_parse_error_exits_one(capsys):
     assert "column 4" in err
 
 
+@pytest.mark.parametrize("value", ["-t", "-1/2", "-exp(t)"])
+def test_eval_expr_may_begin_with_a_minus(capsys, value):
+    code, out, err = run_cli(capsys, "eval", "--expr", value, "--order", "3")
+    assert code == 0 and out and not err
+    assert (code, out, err) == run_cli(capsys, "eval", f"--expr={value}", "--order", "3")
+
+
 @pytest.mark.parametrize(
     "expr",
     [
@@ -506,8 +513,11 @@ def test_k_over_the_cap_exits_two(capsys, argv, too_big):
         (("table", "--kind", "bernoulli", "-n", "1001"), "--n-max must be at most 1000, not 1001", "_table_values"),
         (("verify", "--identity", "thm2", "--n-max", "51"), "--n-max must be at most 50, not 51", "verify_identity"),
         (("eval", "--expr", "t", "--order", "1001"), "--order must be at most 1000, not 1001", "eval_expr"),
+        (("table", "--kind", "bernoulli", "-n", "-1"), "--n-max must be >= 0", "_table_values"),
+        (("verify", "--identity", "thm2", "--n-max", "-1", "--k", "x..y"), "--n-max must be >= 0", "verify_identity"),
+        (("eval", "--expr", "t", "--order", "-1"), "--order must be >= 0", "eval_expr"),
     ],
-    ids=["table-n", "verify-n-max", "eval-order"],
+    ids=["table-n", "verify-n-max", "eval-order", "table-n-negative", "verify-n-max-negative", "eval-order-negative"],
 )
 def test_size_over_its_cap_exits_two_before_any_work(capsys, monkeypatch, argv, message, work):
     assert (cli.MAX_TABLE_N, cli.MAX_VERIFY_N, cli.MAX_ORDER) == (1000, 50, 1000)
@@ -582,10 +592,10 @@ SEVENS = "7" * 4000
         (("verify", "--identity", "thm1", "--n-max", "3", "--x", f"0,{SEVENS}/3"), None),
         (("verify", "--identity", "thm2", "--n-max", "3", "--k", "1" * 101), None),
         (("verify", "--identity", "thm2", "--n-max", "3", "--k", f"1..{'2' * 101}"), None),
-        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0661..\u0662"), "not an integer or a..b range"),
-        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0663"), "not an integer or a..b range"),
-        (("verify", "--identity", "thm1", "--n-max", "3", "--x", "\u0661/2"), "not a rational literal"),
-        (("table", "--kind", "bernoulli", "-n", "3", "--x", "\uff11/2"), "not a rational literal"),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0661..\u0662"), "not an integer or a..b range: '\u0661..\u0662'"),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", "\u0663"), "not an integer or a..b range: '\u0663'"),
+        (("verify", "--identity", "thm1", "--n-max", "3", "--x", "\u0661/2"), "not a rational literal: '\u0661/2'"),
+        (("table", "--kind", "bernoulli", "-n", "3", "--x", "\uff11/2"), "not a rational literal: '\uff11/2'"),
         (("table", "--kind", "bernoulli", "-n", "\u0663"), "argument -n/--n-max: invalid int value: '\u0663'"),
         (("eval", "--expr", "t", "--order", "\uff12"), "argument --order: invalid int value: '\uff12'"),
         (("table", "--kind", "stirling2", "-n", "3", "--l", "\uff13"), "argument --l: invalid int value: '\uff13'"),
@@ -594,6 +604,14 @@ SEVENS = "7" * 4000
         (("table", "--kind", "bernoulli", "-n", "1_0"), "argument -n/--n-max: invalid int value: '1_0'"),
         (("table", "--kind", "poly2nd", "-k", SEVENS, "-n", "2"), "argument -k: integer literal longer than 100 digits"),
         (("eval", "--expr", "t", "--order", "2" * 101), "argument --order: integer literal longer than 100 digits"),
+        (("table", "--kind", "bernoulli", "-n", "7" * 101), "argument -n/--n-max: integer literal longer than 100 digits"),
+        (("table", "--kind", "poly2nd", "-k", "7" * 101, "-n", "2"), "argument -k: integer literal longer than 100 digits"),
+        (("table", "--kind", "stirling2", "-n", "3", "--l", "7" * 101), "argument --l: integer literal longer than 100 digits"),
+        (("table", "--kind", "bernoulli", "-n", "3", "--x", "1/" + "7" * 101), None),
+        (("verify", "--identity", "thm2", "--n-max", "7" * 101), "argument --n-max: integer literal longer than 100 digits"),
+        (("verify", "--identity", "thm2", "--n-max", "3", "--k", f"-{'1' * 101}..2"), None),
+        (("verify", "--identity", "thm1", "--n-max", "3", "--x", f"{'7' * 101},0"), None),
+        (("verify", "--identity", "thm1", "--n-max", "3", "--x", "0,1/" + "7" * 101), None),
     ],
     ids=[
         "poly2nd-4000-digits", "bernoulli-4000-digits", "bernoulli2nd-101-digits",
@@ -601,7 +619,9 @@ SEVENS = "7" * 4000
         "verify-k-range-101-digits", "verify-k-arabic-indic-range", "verify-k-arabic-indic",
         "verify-x-arabic-indic", "table-x-fullwidth", "table-n-arabic-indic", "eval-order-fullwidth",
         "table-l-fullwidth", "verify-n-max-arabic-indic", "table-k-arabic-indic", "table-n-underscore",
-        "table-k-4000-digits", "eval-order-101-digits",
+        "table-k-4000-digits", "eval-order-101-digits", "table-n-101-digits", "table-k-101-digits",
+        "table-l-101-digits", "table-x-denominator-101-digits", "verify-n-max-101-digits",
+        "verify-k-range-bottom-101-digits", "verify-x-first-101-digits", "verify-x-second-101-digits",
     ],
 )
 def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, monkeypatch, argv, message):
@@ -618,9 +638,8 @@ def test_literal_over_the_cap_or_not_ascii_exits_two_before_any_work(capsys, mon
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1
     expected = message or "integer literal longer than 100 digits"
-    assert f"error: {expected}" in errors[0]
+    assert errors == [f"polybern {argv[0]}: error: {expected}"]
     assert "set_int_max_str_digits" not in err
 
 
